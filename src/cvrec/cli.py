@@ -120,7 +120,6 @@ def cmd_evaluate(args) -> int:
     report = ev.evaluate(
         model, dataset, ks=ks, n_samples=args.samples, seed=args.seed,
         fingerprint=meta.get("extra", {}).get("fingerprint", ""),
-        workers=args.workers,
     )
     print(report.format_table())
     if args.out:
@@ -146,7 +145,7 @@ def cmd_eval_cold(args) -> int:
     ks = tuple(int(k) for k in args.k.split(","))
     report = ev.evaluate_cold(
         model, dataset, split, mode=args.mode, ks=ks,
-        n_samples=args.samples, seed=args.seed, workers=args.workers,
+        n_samples=args.samples, seed=args.seed,
     )
     print(report.format_table())
     if args.out:
@@ -157,14 +156,19 @@ def cmd_eval_cold(args) -> int:
 
 def cmd_predict(args) -> int:
     dataset = dat.load_dataset(args.data)
-    model, _ = mdl.load_checkpoint(args.ckpt)
+    if not 0 <= args.user < dataset.n_users:
+        log.error("--user %d out of range [0, %d)", args.user, dataset.n_users)
+        return EXIT_USAGE
     if args.items:
-        candidates = np.array([int(x) for x in args.items.split(",")])
+        candidates = np.array([int(x) for x in args.items.split(",")], dtype=np.int64)
+        bad = candidates[(candidates < 0) | (candidates >= dataset.n_items)]
+        if len(bad):
+            log.error("--items id %d out of range [0, %d)", bad[0], dataset.n_items)
+            return EXIT_USAGE
     else:
-        interacted = set(dataset.train.user_items[args.user])
-        candidates = np.array(
-            [j for j in range(dataset.n_items) if j not in interacted]
-        )
+        candidates = np.setdiff1d(np.arange(dataset.n_items),
+                                  dataset.train.user_items[args.user])
+    model, _ = mdl.load_checkpoint(args.ckpt)
     ranked = pred.rank(model, dataset.train, dataset.side, args.user, candidates,
                        n_samples=args.samples, seed=args.seed)
     if args.topk:
@@ -301,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=128,
                    help="Monte Carlo samples per score (default 128)")
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", help="write metrics CSV here")
     p.set_defaults(fn=cmd_evaluate)
 
@@ -314,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", default="5,10")
     p.add_argument("--samples", type=int, default=128)
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_eval_cold)
 

@@ -123,10 +123,6 @@ class InteractionMatrix:
         out[self.to_csc().indices[self.to_csc().indptr[j]:self.to_csc().indptr[j + 1]]] = 1.0
         return out
 
-    def item_users(self, j) -> np.ndarray:
-        csc = self.to_csc()
-        return csc.indices[csc.indptr[j]:csc.indptr[j + 1]]
-
     def has(self, i, j) -> bool:
         pos = np.searchsorted(self.user_items[i], j)
         return pos < len(self.user_items[i]) and self.user_items[i][pos] == j
@@ -363,8 +359,17 @@ def _zero_feature_count(mat: sparse.csr_array, kind: str) -> None:
         log.info("%d %s(s) have no metadata; using zero feature vectors", empty, kind)
 
 
-def vectorize_ml100k_users(path, user_ids) -> sparse.csr_array:
-    """u.user: id|age|gender|occupation|zip -> demographic one-hot rows."""
+ML100K_USER_FIELDS = ("id", "age", "gender", "occupation", "zip")
+ML1M_USER_FIELDS = ("id", "gender", "age", "occupation", "zip")
+
+
+def vectorize_movielens_users(path, user_ids, sep: str, fields) -> sparse.csr_array:
+    """MovieLens user file -> demographic one-hot rows.
+
+    Each line holds `sep`-separated fields in the order named by `fields`:
+    u.user is id|age|gender|occupation|zip (ML100K_USER_FIELDS), users.dat
+    is UserID::Gender::Age::Occupation::Zip-code (ML1M_USER_FIELDS).
+    """
     path = Path(path)
     if not path.exists():
         raise DataError(f"user metadata file not found: {path}")
@@ -374,11 +379,15 @@ def vectorize_ml100k_users(path, user_ids) -> sparse.csr_array:
         for line_no, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            parts = line.rstrip("\n").split("|")
-            if len(parts) < 5:
-                raise DataError(f"{path}:{line_no}: expected 5 fields, got {line!r}")
-            raw[int(parts[0])] = (int(parts[1]), parts[2], parts[3], parts[4])
-            occupations.add(parts[3])
+            parts = line.rstrip("\n").split(sep)
+            if len(parts) < len(fields):
+                raise DataError(
+                    f"{path}:{line_no}: expected {len(fields)} fields, got {line!r}"
+                )
+            rec = dict(zip(fields, parts))
+            raw[int(rec["id"])] = (int(rec["age"]), rec["gender"], rec["occupation"],
+                                   rec["zip"])
+            occupations.add(rec["occupation"])
     occ_list = sorted(occupations)
     dim = (len(_AGE_EDGES) + 1) + 2 + len(occ_list) + 10
     rows = np.zeros((len(user_ids), dim))
@@ -418,33 +427,6 @@ def vectorize_ml100k_items(path, item_ids) -> sparse.csr_array:
     return mat
 
 
-def vectorize_ml1m_users(path, user_ids) -> sparse.csr_array:
-    """users.dat: UserID::Gender::Age::Occupation::Zip-code."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"user metadata file not found: {path}")
-    raw: dict[int, tuple] = {}
-    occupations: set[str] = set()
-    with open(path, encoding="latin-1") as fh:
-        for line_no, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("::")
-            if len(parts) < 5:
-                raise DataError(f"{path}:{line_no}: expected 5 fields, got {line!r}")
-            raw[int(parts[0])] = (int(parts[2]), parts[1], parts[3], parts[4])
-            occupations.add(parts[3])
-    occ_list = sorted(occupations)
-    dim = (len(_AGE_EDGES) + 1) + 2 + len(occ_list) + 10
-    rows = np.zeros((len(user_ids), dim))
-    for r, uid in enumerate(user_ids):
-        if int(uid) in raw:
-            rows[r] = encode_demographics(*raw[int(uid)], occ_list)
-    mat = sparse.csr_array(rows)
-    _zero_feature_count(mat, "user")
-    return mat
-
-
 def vectorize_ml1m_items(path, item_ids) -> sparse.csr_array:
     """movies.dat: MovieID::Title::Genre|Genre -> genre one-hot + title b.o.w."""
     path = Path(path)
@@ -481,12 +463,14 @@ def vectorize_side_info(dataset: str, data_dir, user_ids, item_ids) -> SideInfo:
     data_dir = Path(data_dir)
     if dataset == "ml-100k":
         side = SideInfo(
-            vectorize_ml100k_users(data_dir / "u.user", user_ids),
+            vectorize_movielens_users(data_dir / "u.user", user_ids, "|",
+                                      ML100K_USER_FIELDS),
             vectorize_ml100k_items(data_dir / "u.item", item_ids),
         )
     elif dataset == "ml-1m":
         side = SideInfo(
-            vectorize_ml1m_users(data_dir / "users.dat", user_ids),
+            vectorize_movielens_users(data_dir / "users.dat", user_ids, "::",
+                                      ML1M_USER_FIELDS),
             vectorize_ml1m_items(data_dir / "movies.dat", item_ids),
         )
     elif dataset == "lastfm-2k":

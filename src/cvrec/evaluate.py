@@ -4,12 +4,19 @@ Each eval case ranks the held-out positive among itself plus its sampled
 negatives. HR@k is a hit below rank k (inclusive); NDCG@k is the single-
 relevant-item specialization 1/log2(rank + 1). Reports carry the seed and
 a config fingerprint so numbers stay attributable to a run.
+
+Leave-one-out (`evaluate`), cold-start (`evaluate_cold`) and the training
+loop's validation share one per-case score function: one
+`predict.score_candidates` call per case over all its candidates, with the
+user's posterior (or, for a cold user, its side-information prior) and rows
+of one all-items posterior pass (a cold target item takes its prior). Noise
+is keyed by (seed, side, entity id), so a case scores the same alone or in
+any batch, and each case is ranked once.
 """
 
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -101,40 +108,47 @@ def case_candidates(case: EvalCase) -> np.ndarray:
     return np.concatenate([[case.target], case.negatives]).astype(np.int64)
 
 
+def _case_ranks(cases: list[EvalCase], score_fn) -> list[int]:
+    """Rank of each case's target under score_fn(case), in case order."""
+    return [
+        predict.rank_of_target(case_candidates(c), score_fn(c), c.target) for c in cases
+    ]
+
+
 def evaluate_ranker(cases: list[EvalCase], score_fn, ks=DEFAULT_KS, seed: int = 0,
-                    fingerprint: str = "", workers: int = 1) -> MetricReport:
-    """Generic protocol driver: score_fn(case) -> scores for target+negatives.
+                    fingerprint: str = "") -> MetricReport:
+    """Generic protocol runner: score_fn(case) -> scores for target+negatives."""
+    return _aggregate(_case_ranks(cases, score_fn), ks, seed, fingerprint)
 
-    Cases are independent; with workers > 1 they are scored in a thread
-    pool, and the ordered reduction keeps results identical either way.
+
+def _case_scorer(model: ModelParams, train: InteractionMatrix, side: SideInfo,
+                 n_samples: int, seed: int, split: ColdSplit | None = None):
+    """score_fn(case) for leave-one-out and cold-start cases alike.
+
+    Item Gaussians are rows of one all-items posterior pass shared across
+    cases. The cold side of a cold case of `split` takes its
+    side-information prior instead: the user's, or the synthetic target
+    item's (its negatives stay on their warm posteriors).
     """
-
-    def case_rank(case: EvalCase) -> int:
-        cands = case_candidates(case)
-        return predict.rank_of_target(cands, score_fn(case), case.target)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            ranks = list(pool.map(case_rank, cases))
-    else:
-        ranks = [case_rank(c) for c in cases]
-    return _aggregate(ranks, ks, seed, fingerprint)
-
-
-def _model_score_fn(model: ModelParams, train: InteractionMatrix, side: SideInfo,
-                    n_samples: int, seed: int):
-    # one batched item-posterior pass per call set, shared across cases
     all_items_mean, all_items_lv = predict.item_posterior(
         model, train, side, np.arange(train.n_items)
     )
 
     def score_fn(case: EvalCase) -> np.ndarray:
         cands = case_candidates(case)
+        cold = split.mode if split is not None and case.cold else None
+        if cold == "user":
+            u_mean, u_lv = predict.user_prior_params(model, split.feature_row(side, case))
+        else:
+            u_mean, u_lv = predict.user_posterior(model, train, side, case.user)
+        if cold == "item":
+            t_mean, t_lv = predict.item_prior_params(model, split.feature_row(side, case))
+            v_means = np.vstack([t_mean, all_items_mean[case.negatives]])
+            v_lvs = np.vstack([t_lv, all_items_lv[case.negatives]])
+        else:
+            v_means, v_lvs = all_items_mean[cands], all_items_lv[cands]
         return predict.score_candidates(
-            model, cands,
-            *predict.user_posterior(model, train, side, case.user),
-            all_items_mean[cands], all_items_lv[cands],
-            n_samples, seed, case.user,
+            model, cands, u_mean, u_lv, v_means, v_lvs, n_samples, seed, case.user
         )
 
     return score_fn
@@ -142,94 +156,52 @@ def _model_score_fn(model: ModelParams, train: InteractionMatrix, side: SideInfo
 
 def evaluate(model: ModelParams, dataset: Dataset, ks=DEFAULT_KS,
              n_samples: int = predict.DEFAULT_SAMPLES, seed: int = 0,
-             fingerprint: str = "", workers: int = 1,
+             fingerprint: str = "",
              cases: list[EvalCase] | None = None,
              train: InteractionMatrix | None = None) -> MetricReport:
     """Leave-one-out evaluation of a trained model."""
     cases = dataset.eval_cases if cases is None else cases
     train = dataset.train if train is None else train
-    fn = _model_score_fn(model, train, side=dataset.side, n_samples=n_samples, seed=seed)
-    return evaluate_ranker(cases, fn, ks, seed, fingerprint, workers)
+    fn = _case_scorer(model, train, dataset.side, n_samples, seed)
+    return evaluate_ranker(cases, fn, ks, seed, fingerprint)
 
 
 def validation_hr_ndcg(model: ModelParams, train: InteractionMatrix, side: SideInfo,
                        cases: list[EvalCase], k: int = 5, n_samples: int = 32,
                        seed: int = 0) -> tuple[float, float]:
     """Lightweight HR@k/NDCG@k used by the training loop."""
-    fn = _model_score_fn(model, train, side, n_samples, seed)
+    fn = _case_scorer(model, train, side, n_samples, seed)
     report = evaluate_ranker(cases, fn, ks=(k,), seed=seed)
     return report.hr[k], report.ndcg[k]
 
 
 def evaluate_cold(model: ModelParams, dataset: Dataset, split: ColdSplit,
                   mode: str, ks=DEFAULT_KS, n_samples: int = predict.DEFAULT_SAMPLES,
-                  seed: int = 0, fingerprint: str = "",
-                  workers: int = 1) -> MetricReport:
+                  seed: int = 0, fingerprint: str = "") -> MetricReport:
     """Cold-start evaluation over the split's test cases.
 
     Warm entities are scored through their posteriors on the split's
     training matrix; the cold side of a cold case is scored through its
-    side-information prior. The returned report covers the cold cases
-    (matching how cold performance is quoted), with `all` and `warm`
-    sections attached.
+    side-information prior. Each case is ranked once. The returned report
+    covers the cold cases (matching how cold performance is quoted), or
+    every case when none is cold, with `all` and `warm` sections attached.
     """
     if mode != split.mode:
         raise ValueError(f"split was built for mode={split.mode!r}, got {mode!r}")
-    side = dataset.side
-    train = split.train
-    all_items_mean, all_items_lv = predict.item_posterior(
-        model, train, side, np.arange(train.n_items)
-    )
-
-    def score_fn(case) -> np.ndarray:
-        cands = case_candidates(case)
-        if case.cold and split.mode == "user":
-            feats = split.feature_row(side, case)
-            u_mean, u_lv = predict.user_prior_params(model, feats)
-            return predict.score_candidates(
-                model, cands, u_mean, u_lv,
-                all_items_mean[cands], all_items_lv[cands],
-                n_samples, seed, case.user,
-            )
-        if case.cold and split.mode == "item":
-            # the synthetic target resolves to its copied-side-info prior;
-            # negatives stay on their warm posteriors
-            cold_mean, cold_lv = predict.item_prior_params(
-                model, split.feature_row(side, case)
-            )
-            neg = case.negatives
-            means = np.vstack([cold_mean, all_items_mean[neg]])
-            lvs = np.vstack([cold_lv, all_items_lv[neg]])
-            return predict.score_candidates(
-                model, cands,
-                *predict.user_posterior(model, train, side, case.user),
-                means, lvs, n_samples, seed, case.user,
-            )
-        return predict.score_candidates(
-            model, cands,
-            *predict.user_posterior(model, train, side, case.user),
-            all_items_mean[cands], all_items_lv[cands],
-            n_samples, seed, case.user,
-        )
-
-    cold_cases = [c for c in split.test_cases if c.cold]
-    warm_cases = [c for c in split.test_cases if not c.cold]
-    full = evaluate_ranker(split.test_cases, score_fn, ks, seed, fingerprint, workers)
-    report = (
-        evaluate_ranker(cold_cases, score_fn, ks, seed, fingerprint, workers)
-        if cold_cases else full
-    )
-    report.sections["all"] = full
-    if warm_cases:
-        report.sections["warm"] = evaluate_ranker(
-            warm_cases, score_fn, ks, seed, fingerprint, workers
-        )
+    cases = split.test_cases
+    fn = _case_scorer(model, split.train, dataset.side, n_samples, seed, split)
+    ranks = _case_ranks(cases, fn)
+    cold = [r for r, c in zip(ranks, cases) if c.cold]
+    warm = [r for r, c in zip(ranks, cases) if not c.cold]
+    report = _aggregate(cold or ranks, ks, seed, fingerprint)
+    report.sections["all"] = _aggregate(ranks, ks, seed, fingerprint)
+    if warm:
+        report.sections["warm"] = _aggregate(warm, ks, seed, fingerprint)
     return report
 
 
 def compare_ablations(dataset: Dataset, base_config, seeds=None, ks=(10,),
-                      n_samples: int = predict.DEFAULT_SAMPLES,
-                      workers: int = 1) -> list[dict]:
+                      n_samples: int = predict.DEFAULT_SAMPLES) -> list[dict]:
     """Train and evaluate every prior-ablation variant with shared splits."""
     import dataclasses
 
@@ -246,7 +218,7 @@ def compare_ablations(dataset: Dataset, base_config, seeds=None, ks=(10,),
             result = fit(dataset, config)
             report = evaluate(
                 result.model, dataset, ks=ks, n_samples=n_samples, seed=seed,
-                fingerprint=config.fingerprint(), workers=workers,
+                fingerprint=config.fingerprint(),
             )
             row = {"variant": variant, "seed": seed}
             for k in ks:

@@ -1,14 +1,17 @@
-"""Monte Carlo predictive scoring for warm and cold users/items.
+"""Monte Carlo predictive scoring, one path for warm and cold entities.
 
-Scores are predicted interaction probabilities: the mean over S paired
-posterior samples of the interaction net's output. Cold entities have no
-feedback history, so their latent factor is sampled from the
-side-information prior instead of the posterior (or from N(0, I) when the
-corresponding prior is disabled).
+A score is a predicted interaction probability: the mean over S paired
+samples of the interaction net's output. `score_candidates` is the only
+function that draws samples and runs the interaction net. It takes one
+user Gaussian and one Gaussian per candidate item, wherever they came
+from: a warm entity's comes from its posterior (`user_posterior`,
+`item_posterior`), and a cold entity, which has no feedback history,
+takes its side-information prior (`user_prior_params`,
+`item_prior_params`), or N(0, I) when that prior is disabled.
 
-Noise streams are keyed by (seed, side, entity id), which makes every
-score deterministic for a fixed seed and independent of evaluation order
-or batching.
+Noise streams are keyed by (seed, side, entity id): the user key and the
+candidate ids. That makes every score deterministic for a fixed seed and
+independent of evaluation order or batching.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ _ITEM_STREAM = 0x5A
 
 
 def _noise(seed: int, stream: int, key: int, n: int, dim: int) -> np.ndarray:
-    # SeedSequence wants non-negative entropy; negative keys (ad hoc cold
-    # entities) wrap deterministically
+    # SeedSequence wants non-negative entropy; a negative key wraps
+    # deterministically
     rng = np.random.default_rng((seed, stream, int(key) % (2**63)))
     return rng.standard_normal((n, dim))
 
@@ -36,9 +39,16 @@ def _draw(mean: np.ndarray, log_var: np.ndarray, eps: np.ndarray) -> np.ndarray:
     return mean + np.exp(0.5 * log_var) * eps
 
 
+def _check_ids(ids: np.ndarray, n: int, kind: str) -> None:
+    bad = ids[(ids < 0) | (ids >= n)]
+    if len(bad):
+        raise IndexError(f"{kind} id {int(bad[0])} out of range [0, {n})")
+
+
 def user_posterior(model: ModelParams, train: InteractionMatrix, side: SideInfo,
                    users) -> tuple[np.ndarray, np.ndarray]:
     users = np.atleast_1d(np.asarray(users, dtype=np.int64))
+    _check_ids(users, train.n_users, "user")
     x = inference_input(
         side.user_features[users], train.to_csr()[users], model.use_user_prior
     )
@@ -48,89 +58,50 @@ def user_posterior(model: ModelParams, train: InteractionMatrix, side: SideInfo,
 def item_posterior(model: ModelParams, train: InteractionMatrix, side: SideInfo,
                    items) -> tuple[np.ndarray, np.ndarray]:
     items = np.atleast_1d(np.asarray(items, dtype=np.int64))
+    _check_ids(items, train.n_items, "item")
     x = inference_input(
         side.item_features[items], train.to_csr_t()[items], model.use_item_prior
     )
     return model.inf_item.forward_values(x)
 
 
+def _prior_params(net, enabled: bool, latent_dim: int, feat_dim: int, features,
+                  kind: str) -> tuple[np.ndarray, np.ndarray]:
+    feats = sparse.csr_array(
+        features if sparse.issparse(features) else np.atleast_2d(features)
+    )
+    if feats.shape[1] != feat_dim:
+        raise ValueError(
+            f"cold {kind} features have dim {feats.shape[1]}, expected {feat_dim}"
+        )
+    if not enabled:
+        shape = (feats.shape[0], latent_dim)
+        return np.zeros(shape), np.zeros(shape)
+    return net.forward_values(feats)
+
+
 def user_prior_params(model: ModelParams, features) -> tuple[np.ndarray, np.ndarray]:
-    if not model.use_user_prior:
-        d = model.dims.latent_dim
-        return np.zeros((features.shape[0], d)), np.zeros((features.shape[0], d))
-    return model.prior_user.forward_values(features)
+    """Side-information prior of (cold) users, one row per feature row."""
+    d = model.dims
+    return _prior_params(model.prior_user, model.use_user_prior, d.latent_dim,
+                         d.user_feat_dim, features, "user")
 
 
 def item_prior_params(model: ModelParams, features) -> tuple[np.ndarray, np.ndarray]:
-    if not model.use_item_prior:
-        d = model.dims.latent_dim
-        return np.zeros((features.shape[0], d)), np.zeros((features.shape[0], d))
-    return model.prior_item.forward_values(features)
-
-
-def _pair_probs(model: ModelParams, u_samples: np.ndarray,
-                v_samples: np.ndarray) -> np.ndarray:
-    return model.interact.forward_values(np.hstack([u_samples, v_samples]))[:, 0]
-
-
-def _score_one(model, u_mean, u_lv, v_mean, v_lv, n_samples, seed,
-               user_key, item_key) -> float:
-    d = model.dims.latent_dim
-    u = _draw(u_mean, u_lv, _noise(seed, _USER_STREAM, user_key, n_samples, d))
-    v = _draw(v_mean, v_lv, _noise(seed, _ITEM_STREAM, item_key, n_samples, d))
-    return float(_pair_probs(model, u, v).mean())
-
-
-def score_warm(model: ModelParams, train: InteractionMatrix, side: SideInfo,
-               user: int, item: int, n_samples: int = DEFAULT_SAMPLES,
-               seed: int = 0) -> float:
-    """Posterior-sampled interaction probability for a trained (user, item)."""
-    if not 0 <= user < train.n_users:
-        raise IndexError(f"user id {user} out of range [0, {train.n_users})")
-    if not 0 <= item < train.n_items:
-        raise IndexError(f"item id {item} out of range [0, {train.n_items})")
-    u_mean, u_lv = user_posterior(model, train, side, user)
-    v_mean, v_lv = item_posterior(model, train, side, item)
-    return _score_one(model, u_mean, u_lv, v_mean, v_lv, n_samples, seed, user, item)
-
-
-def score_cold_user(model: ModelParams, train: InteractionMatrix, side: SideInfo,
-                    user_features, item: int, n_samples: int = DEFAULT_SAMPLES,
-                    seed: int = 0, user_key: int = -1) -> float:
-    """Like score_warm, but the user factor is sampled from the prior."""
-    feats = sparse.csr_array(np.atleast_2d(user_features) if not sparse.issparse(user_features)
-                             else user_features)
-    if feats.shape[1] != side.user_dim:
-        raise ValueError(
-            f"cold user features have dim {feats.shape[1]}, expected {side.user_dim}"
-        )
-    u_mean, u_lv = user_prior_params(model, feats)
-    v_mean, v_lv = item_posterior(model, train, side, item)
-    return _score_one(model, u_mean, u_lv, v_mean, v_lv, n_samples, seed, user_key, item)
-
-
-def score_cold_item(model: ModelParams, train: InteractionMatrix, side: SideInfo,
-                    user: int, item_features, n_samples: int = DEFAULT_SAMPLES,
-                    seed: int = 0, item_key: int = -1) -> float:
-    """Mirror image of score_cold_user: the item factor comes from its prior."""
-    feats = sparse.csr_array(np.atleast_2d(item_features) if not sparse.issparse(item_features)
-                             else item_features)
-    if feats.shape[1] != side.item_dim:
-        raise ValueError(
-            f"cold item features have dim {feats.shape[1]}, expected {side.item_dim}"
-        )
-    u_mean, u_lv = user_posterior(model, train, side, user)
-    v_mean, v_lv = item_prior_params(model, feats)
-    return _score_one(model, u_mean, u_lv, v_mean, v_lv, n_samples, seed, user, item_key)
+    """Side-information prior of (cold) items, one row per feature row."""
+    d = model.dims
+    return _prior_params(model.prior_item, model.use_item_prior, d.latent_dim,
+                         d.item_feat_dim, features, "item")
 
 
 def score_candidates(model: ModelParams, candidates, u_mean, u_lv,
                      v_means, v_lvs, n_samples: int, seed: int,
                      user_key: int) -> np.ndarray:
-    """Scores for a candidate set sharing one user sample stream.
+    """Scores of one user against a candidate set.
 
-    `v_means`/`v_lvs` are aligned with `candidates`; sample s of the user is
-    paired with sample s of each candidate.
+    `v_means`/`v_lvs` are aligned with `candidates`, whose ids are also the
+    item noise keys; `user_key` keys the user noise. Sample s of the user
+    is paired with sample s of each candidate.
     """
     d = model.dims.latent_dim
     n_cand = len(candidates)
@@ -139,11 +110,8 @@ def score_candidates(model: ModelParams, candidates, u_mean, u_lv,
     for c, item in enumerate(candidates):
         v_all[c] = _draw(v_means[[c]], v_lvs[[c]],
                          _noise(seed, _ITEM_STREAM, int(item), n_samples, d))
-    probs = _pair_probs(
-        model,
-        np.tile(u, (n_cand, 1)),
-        v_all.reshape(n_cand * n_samples, d),
-    ).reshape(n_cand, n_samples)
+    pairs = np.hstack([np.tile(u, (n_cand, 1)), v_all.reshape(n_cand * n_samples, d)])
+    probs = model.interact.forward_values(pairs)[:, 0].reshape(n_cand, n_samples)
     return probs.mean(axis=1)
 
 

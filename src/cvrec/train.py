@@ -23,32 +23,6 @@ from .data import Dataset, EvalCase, InteractionMatrix, SideInfo, sample_minibat
 
 log = logging.getLogger(__name__)
 
-try:  # fused update kernel; pure-numpy fallback below matches it exactly
-    from numba import njit
-
-    @njit(cache=True)
-    def _adam_kernel(p, g, m, v, beta1, beta2, step_size, denom_eps):
-        for i in range(p.size):
-            gi = g[i]
-            mi = beta1 * m[i] + (1.0 - beta1) * gi
-            vi = beta2 * v[i] + (1.0 - beta2) * (gi * gi)
-            m[i] = mi
-            v[i] = vi
-            # same rounding order as the numpy fallback
-            p[i] -= (mi / (np.sqrt(vi) + denom_eps)) * step_size
-
-except ImportError:  # pragma: no cover - numba is normally available
-    _adam_kernel = None
-
-
-def _same_layout(*arrays) -> bool:
-    """All C-contiguous or all F-contiguous: raveling in memory order then
-    addresses the same logical elements across the arrays."""
-    if all(a.flags["C_CONTIGUOUS"] for a in arrays):
-        return True
-    return all(a.flags["F_CONTIGUOUS"] for a in arrays)
-
-
 class TrainingDiverged(RuntimeError):
     """Raised on non-finite loss; carries the last finite parameters."""
 
@@ -176,11 +150,6 @@ def adam_step(named_params: dict[str, ad.Node], state: AdamState, lr: float) -> 
             state._scratch[name] = np.empty_like(p.value)
         m = state.m[name]
         v = state.v[name]
-        if _adam_kernel is not None and _same_layout(p.value, g, m, v):
-            _adam_kernel(np.ravel(p.value, order="K"), np.ravel(g, order="K"),
-                         np.ravel(m, order="K"), np.ravel(v, order="K"),
-                         state.beta1, state.beta2, step_size, denom_eps)
-            continue
         s = state._scratch[name]
         np.multiply(g, g, out=s)
         s *= 1 - state.beta2
@@ -239,11 +208,6 @@ def assemble_batch(train: InteractionMatrix, side: SideInfo, users, items, label
         eps_user=np.asarray(eps_user, dtype=np.float64),
         eps_item=np.asarray(eps_item, dtype=np.float64),
     )
-
-
-def minibatch_loss(model: mdl.ModelParams, batch: mdl.PairBatch) -> ad.Node:
-    """Mean negated per-pair bound over the batch (the quantity minimized)."""
-    return mdl.batch_objective(model, batch)
 
 
 @dataclass
@@ -334,7 +298,7 @@ def fit(dataset: Dataset, config: TrainConfig,
                 train, dataset.side, users, items, labels, noise_rng,
                 k=config.mc_samples, latent_dim=config.latent_dim,
             )
-            loss = minibatch_loss(model, batch)
+            loss = mdl.batch_objective(model, batch)
             step += 1
             if not np.isfinite(loss.value).all():
                 _restore(model, last_finite)

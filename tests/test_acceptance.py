@@ -25,6 +25,7 @@ from cvrec.synthetic import block_dataset, structural_negatives
 from conftest import needs_full_run, needs_ml100k, small_config
 
 FULL_EPOCHS = int(os.environ.get("CVREC_FULL_EPOCHS", "18"))
+KL_CHUNK = 32_768  # rows of the KL oracle's Monte Carlo sample per pass
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -59,7 +60,7 @@ class TestCriterion1Gradients:
                                   np.random.default_rng(8), k=1,
                                   latent_dim=config.latent_dim)
         err = ad.finite_diff_check(
-            lambda: tr.minibatch_loss(model, batch), model.parameters()
+            lambda: mdl.batch_objective(model, batch), model.parameters()
         )
         elapsed = time.time() - t0
         _report(1, "gradient correctness", err < 1e-4 and elapsed < 60,
@@ -73,6 +74,7 @@ class TestCriterion2KlOracle:
         d = 16
         n_samples = 1_000_000
         eps = rng.standard_normal((n_samples, d))  # shared across pairs
+        diffs = np.empty(n_samples)
 
         def log_pdf(x, mu, lv):
             return (-0.5 * (np.log(2 * np.pi) + lv + (x - mu) ** 2 / np.exp(lv))).sum(1)
@@ -86,8 +88,12 @@ class TestCriterion2KlOracle:
             p = mdl.DiagGaussian(ad.constant([mu_p]), ad.constant([lv_p]))
             exact = mdl.kl_diag(q, p).item()
             all_non_negative &= exact >= 0.0
-            x = mu_q + np.exp(0.5 * lv_q) * eps
-            diffs = log_pdf(x, mu_q, lv_q) - log_pdf(x, mu_p, lv_p)
+            # chunks of the shared eps keep the temporaries cache-sized; each
+            # element's arithmetic is the same as over the whole array
+            for start in range(0, n_samples, KL_CHUNK):
+                x = mu_q + np.exp(0.5 * lv_q) * eps[start:start + KL_CHUNK]
+                diffs[start:start + KL_CHUNK] = (log_pdf(x, mu_q, lv_q)
+                                                 - log_pdf(x, mu_p, lv_p))
             se = diffs.std(ddof=1) / np.sqrt(n_samples)
             worst_z = max(worst_z, abs(exact - diffs.mean()) / se)
         elapsed = time.time() - t0
@@ -107,17 +113,15 @@ class TestCriterion3Overfit:
         model = result.model
 
         users, items = dataset.train.pairs()
-        pos_scores = [
-            predict.score_warm(model, dataset.train, dataset.side, int(u), int(j),
-                               n_samples=64, seed=1)
-            for u, j in zip(users[:150], items[:150])
-        ]
+
+        def pair_score(u, j):
+            # a one-candidate ranking is the pair's score
+            return predict.rank(model, dataset.train, dataset.side, int(u), [int(j)],
+                                n_samples=64, seed=1)[0][1]
+
+        pos_scores = [pair_score(u, j) for u, j in zip(users[:150], items[:150])]
         nu, ni = structural_negatives(dataset, max_pairs=150)
-        neg_scores = [
-            predict.score_warm(model, dataset.train, dataset.side, int(u), int(j),
-                               n_samples=64, seed=1)
-            for u, j in zip(nu, ni)
-        ]
+        neg_scores = [pair_score(u, j) for u, j in zip(nu, ni)]
         pos_mean, neg_mean = np.mean(pos_scores), np.mean(neg_scores)
         elapsed = time.time() - t0
         _report(3, "overfit oracle",

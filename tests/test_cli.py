@@ -215,6 +215,25 @@ class TestPredict:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 6
 
+    def test_all_unseen_excludes_training_items(self, cache, checkpoint, capsys):
+        rc = cli.main(["predict", "--data", str(cache), "--ckpt", str(checkpoint),
+                       "--user", "3", "--samples", "8"])
+        assert rc == 0
+        items = [int(l.split(",")[1]) for l in capsys.readouterr().out.splitlines()[1:]]
+        dataset = load_dataset(cache)
+        seen = set(dataset.train.user_items[3].tolist())
+        assert sorted(items) == [j for j in range(dataset.n_items) if j not in seen]
+
+    @pytest.mark.parametrize("ids", [["--user", "-1"], ["--user", "999"],
+                                     ["--user", "0", "--items", "1,-1"],
+                                     ["--user", "0", "--items", "1,999"]])
+    def test_out_of_range_ids_exit_2(self, cache, checkpoint, ids, caplog, capsys):
+        rc = cli.main(["predict", "--data", str(cache), "--ckpt", str(checkpoint),
+                       "--samples", "8", *ids])
+        assert rc == 2
+        assert capsys.readouterr().out == ""
+        assert any("out of range" in r.message for r in caplog.records)
+
 
 class TestAblate:
     def test_table_covers_variants(self, cache, tmp_path, capsys):

@@ -130,6 +130,36 @@ class TestVectorize:
             row = side.item_features[[int(np.searchsorted(item_ids, raw_id))]].toarray()[0]
             np.testing.assert_array_equal(row[:19], raw[raw_id])
 
+    USER_FILES = (
+        ("u.user", "|", d.ML100K_USER_FIELDS,
+         "1|24|M|technician|85711\n2|53|F|other|94043\n"),
+        ("users.dat", "::", d.ML1M_USER_FIELDS,
+         "1::M::24::technician::85711\n2::F::53::other::94043\n"),
+    )
+
+    def test_movielens_user_formats_agree(self, tmp_path):
+        # the same two users in the ML-100K and the ML-1M field order
+        mats = []
+        for name, sep, fields, text in self.USER_FILES:
+            (tmp_path / name).write_text(text)
+            mats.append(d.vectorize_movielens_users(tmp_path / name, [1, 2], sep, fields))
+        a, b = mats
+        assert a.shape == b.shape and a.nnz == b.nnz
+        np.testing.assert_array_equal(a.toarray(), b.toarray())
+        occupations = ["other", "technician"]
+        np.testing.assert_array_equal(
+            a.toarray(),
+            [d.encode_demographics(24, "M", "technician", "85711", occupations),
+             d.encode_demographics(53, "F", "other", "94043", occupations)],
+        )
+
+    def test_movielens_user_short_line_rejected(self, tmp_path):
+        for name, sep, fields, text in self.USER_FILES:
+            short = text.splitlines()[0].rsplit(sep, 1)[0]
+            (tmp_path / name).write_text(text + short + "\n")
+            with pytest.raises(d.DataError, match=f"{name}:3: expected 5 fields"):
+                d.vectorize_movielens_users(tmp_path / name, [1, 2], sep, fields)
+
     def test_user_without_metadata_gets_zero_vector(self, ml_dir, caplog):
         (ml_dir / "u.user").write_text("1|24|M|engineer|85711\n")
         inter, user_ids, item_ids, _ = d.load_movielens(ml_dir / "u.data")

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvrec import evaluate as ev
+from cvrec import predict
 from cvrec.data import EvalCase, make_cold_split
 
 
@@ -94,12 +95,6 @@ class TestProtocol:
         b = ev.evaluate_ranker(cases, random_scorer(5), ks=(5,))
         assert a.hr == b.hr and a.ndcg == b.ndcg
 
-    def test_parallel_matches_serial(self):
-        cases = synthetic_cases(n_cases=80)
-        serial = ev.evaluate_ranker(cases, random_scorer(7), ks=(5, 10))
-        threaded = ev.evaluate_ranker(cases, random_scorer(7), ks=(5, 10), workers=4)
-        assert serial.hr == threaded.hr and serial.ndcg == threaded.ndcg
-
     def test_empty_cases_rejected(self):
         with pytest.raises(ValueError, match="cases"):
             ev.evaluate_ranker([], oracle_scorer)
@@ -164,6 +159,36 @@ class TestEvaluateCold:
         assert "all" in report.sections and "warm" in report.sections
         n_cold = sum(c.cold for c in split.test_cases)
         assert report.n_cases == n_cold
+
+    @pytest.mark.parametrize("mode", ["user", "item"])
+    def test_each_case_scored_once(self, trained_block, monkeypatch, mode):
+        dataset, result = trained_block
+        split = make_cold_split(dataset.interactions, dataset.side, fraction=0.3,
+                                mode=mode, seed=6)
+        calls = []
+        score = predict.score_candidates
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return score(*args, **kwargs)
+
+        monkeypatch.setattr(predict, "score_candidates", counting)
+        report = ev.evaluate_cold(result.model, dataset, split, mode=mode,
+                                  ks=(5,), n_samples=8, seed=7)
+        assert len(calls) == len(split.test_cases)
+        assert report.sections["all"].n_cases == len(split.test_cases)
+
+    def test_zero_fraction_report_writes_csv(self, trained_block, tmp_path):
+        # with no cold case the report covers every case; its `all` section
+        # is a separate report, so the CSV writer terminates
+        dataset, result = trained_block
+        split = make_cold_split(dataset.interactions, dataset.side, fraction=0.0,
+                                mode="user", seed=4)
+        report = ev.evaluate_cold(result.model, dataset, split, mode="user",
+                                  ks=(5,), n_samples=8, seed=5)
+        report.to_csv(tmp_path / "cold.csv")
+        lines = (tmp_path / "cold.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["all", "all", "warm"]
 
     def test_cold_item_mode_runs(self, trained_block):
         dataset, result = trained_block

@@ -7,25 +7,42 @@ from cvrec import predict
 from cvrec.model import VARIANT_FLAGS
 
 
+def warm_score(model, dataset, u, j, n_samples=predict.DEFAULT_SAMPLES, seed=0):
+    """One (user, item) pair scored as a one-candidate call."""
+    u_gauss = predict.user_posterior(model, dataset.train, dataset.side, u)
+    v_gauss = predict.item_posterior(model, dataset.train, dataset.side, j)
+    return float(predict.score_candidates(model, [j], *u_gauss, *v_gauss,
+                                          n_samples, seed, user_key=u)[0])
+
+
+def cold_user_score(model, dataset, features, j, n_samples, seed):
+    """A new user, keyed like a cold split's synthetic id, against item j."""
+    u_gauss = predict.user_prior_params(model, features)
+    v_gauss = predict.item_posterior(model, dataset.train, dataset.side, j)
+    return float(predict.score_candidates(model, [j], *u_gauss, *v_gauss, n_samples,
+                                          seed, user_key=dataset.train.n_users)[0])
+
+
 class TestScoreWarm:
     def test_scores_in_unit_interval(self, trained_block):
         dataset, result = trained_block
         for u, j in [(0, 0), (3, 7), (19, 29)]:
-            s = predict.score_warm(result.model, dataset.train, dataset.side, u, j,
-                                   n_samples=32, seed=1)
+            s = warm_score(result.model, dataset, u, j, n_samples=32, seed=1)
             assert 0.0 < s < 1.0
 
     def test_out_of_range_ids(self, trained_block):
         dataset, result = trained_block
         with pytest.raises(IndexError, match="user"):
-            predict.score_warm(result.model, dataset.train, dataset.side, 99, 0)
+            predict.user_posterior(result.model, dataset.train, dataset.side, 99)
+        with pytest.raises(IndexError, match="user"):
+            predict.user_posterior(result.model, dataset.train, dataset.side, -1)
         with pytest.raises(IndexError, match="item"):
-            predict.score_warm(result.model, dataset.train, dataset.side, 0, 999)
+            predict.item_posterior(result.model, dataset.train, dataset.side, [0, 999])
 
     def test_fixed_seed_reproducible(self, trained_block):
         dataset, result = trained_block
-        a = predict.score_warm(result.model, dataset.train, dataset.side, 2, 4, 64, seed=9)
-        b = predict.score_warm(result.model, dataset.train, dataset.side, 2, 4, 64, seed=9)
+        a = warm_score(result.model, dataset, 2, 4, 64, seed=9)
+        b = warm_score(result.model, dataset, 2, 4, 64, seed=9)
         assert a == b
 
     def test_sample_size_consistency(self, trained_block):
@@ -35,10 +52,8 @@ class TestScoreWarm:
         for _ in range(5):
             u = int(rng.integers(dataset.train.n_users))
             j = int(rng.integers(dataset.train.n_items))
-            small = predict.score_warm(result.model, dataset.train, dataset.side,
-                                       u, j, 128, seed=3)
-            big = predict.score_warm(result.model, dataset.train, dataset.side,
-                                     u, j, 4096, seed=3)
+            small = warm_score(result.model, dataset, u, j, 128, seed=3)
+            big = warm_score(result.model, dataset, u, j, 4096, seed=3)
             assert abs(small - big) < 0.03
 
     def test_collapsed_variance_equals_plugin_forward(self, trained_block):
@@ -49,39 +64,38 @@ class TestScoreWarm:
         v_mean, v_lv = predict.item_posterior(model, dataset.train, dataset.side, j)
         # pin both posteriors at log_var = -15 via direct sampling path
         probs = model.interact.forward_values(np.hstack([u_mean, v_mean]))[0, 0]
-        s = predict._score_one(model, u_mean, np.full_like(u_lv, -15.0),
-                               v_mean, np.full_like(v_lv, -15.0), 256, 0, u, j)
+        s = predict.score_candidates(model, [j], u_mean, np.full_like(u_lv, -15.0),
+                                     v_mean, np.full_like(v_lv, -15.0), 256, 0, u)[0]
         assert abs(s - probs) < 1e-3
 
     def test_monte_carlo_standard_error_small(self, trained_block):
         dataset, result = trained_block
-        scores = [
-            predict.score_warm(result.model, dataset.train, dataset.side, 0, 3,
-                               128, seed=s)
-            for s in range(12)
-        ]
+        scores = [warm_score(result.model, dataset, 0, 3, 128, seed=s) for s in range(12)]
         assert np.std(scores, ddof=1) < 0.05
 
 
 class TestScoreCold:
     def test_cold_user_feature_dim_checked(self, trained_block):
-        dataset, result = trained_block
+        _, result = trained_block
         with pytest.raises(ValueError, match="dim"):
-            predict.score_cold_user(result.model, dataset.train, dataset.side,
-                                    np.ones(99), 0)
+            predict.user_prior_params(result.model, np.ones(99))
+        with pytest.raises(ValueError, match="dim"):
+            predict.item_prior_params(result.model, np.ones(99))
 
     def test_cold_user_in_unit_interval(self, trained_block):
         dataset, result = trained_block
         f = dataset.side.user_features[[4]]
-        s = predict.score_cold_user(result.model, dataset.train, dataset.side, f, 2,
-                                    n_samples=64, seed=5)
+        s = cold_user_score(result.model, dataset, f, 2, n_samples=64, seed=5)
         assert 0.0 < s < 1.0
 
     def test_cold_item_zero_side_info_finite(self, trained_block):
         dataset, result = trained_block
-        g = np.zeros(dataset.side.item_dim)
-        s = predict.score_cold_item(result.model, dataset.train, dataset.side, 0, g,
-                                    n_samples=64, seed=6)
+        model = result.model
+        cold_item = dataset.train.n_items
+        u_gauss = predict.user_posterior(model, dataset.train, dataset.side, 0)
+        v_gauss = predict.item_prior_params(model, np.zeros(dataset.side.item_dim))
+        s = predict.score_candidates(model, [cold_item], *u_gauss, *v_gauss, 64,
+                                     seed=6, user_key=0)[0]
         assert 0.0 < s < 1.0 and np.isfinite(s)
 
     def test_disabled_prior_ignores_features(self, block_data):
@@ -95,10 +109,8 @@ class TestScoreCold:
         result = fit(block_data, config)
         f1 = np.ones(block_data.side.user_dim)
         f2 = np.arange(block_data.side.user_dim, dtype=float)
-        s1 = predict.score_cold_user(result.model, block_data.train, block_data.side,
-                                     f1, 3, 64, seed=7)
-        s2 = predict.score_cold_user(result.model, block_data.train, block_data.side,
-                                     f2, 3, 64, seed=7)
+        s1 = cold_user_score(result.model, block_data, f1, 3, 64, seed=7)
+        s2 = cold_user_score(result.model, block_data, f2, 3, 64, seed=7)
         assert s1 == s2
 
     def test_cold_user_copying_warm_features_correlates(self, trained_block):
@@ -109,19 +121,18 @@ class TestScoreCold:
 
         model = result.model
         items = np.arange(dataset.train.n_items)
+        v_gauss = predict.item_posterior(model, dataset.train, dataset.side, items)
         corrs = []
         for u in range(0, 8):
             warm = predict.rank(model, dataset.train, dataset.side, u, items,
                                 n_samples=64, seed=8)
             warm_scores = dict(warm)
             f = dataset.side.user_features[[u]]
-            cold_scores = {
-                int(j): predict.score_cold_user(model, dataset.train, dataset.side,
-                                                f, int(j), 64, seed=8)
-                for j in items
-            }
-            corr = spearmanr([warm_scores[j] for j in items],
-                             [cold_scores[j] for j in items]).statistic
+            cold_scores = predict.score_candidates(
+                model, items, *predict.user_prior_params(model, f), *v_gauss, 64,
+                seed=8, user_key=dataset.train.n_users + u,
+            )
+            corr = spearmanr([warm_scores[j] for j in items], cold_scores).statistic
             corrs.append(corr)
         assert np.mean(corrs) > 0
 
@@ -134,11 +145,7 @@ class TestScoreCold:
                                                 candidates)
         batch = predict.score_candidates(model, candidates, u_mean, u_lv,
                                          v_means, v_lvs, 64, seed=11, user_key=6)
-        singles = [
-            predict.score_warm(model, dataset.train, dataset.side, 6, int(j), 64,
-                               seed=11)
-            for j in candidates
-        ]
+        singles = [warm_score(model, dataset, 6, int(j), 64, seed=11) for j in candidates]
         np.testing.assert_allclose(batch, singles, atol=1e-12)
 
 
@@ -148,6 +155,12 @@ class TestRank:
         out = predict.rank(result.model, dataset.train, dataset.side, 0, [5],
                            n_samples=16, seed=0)
         assert len(out) == 1 and out[0][0] == 5
+
+    def test_out_of_range_user_rejected(self, trained_block):
+        # a negative id must not wrap around to the last user
+        dataset, result = trained_block
+        with pytest.raises(IndexError, match="user"):
+            predict.rank(result.model, dataset.train, dataset.side, -1, [0, 1])
 
     def test_empty_candidates_rejected(self, trained_block):
         dataset, result = trained_block

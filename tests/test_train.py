@@ -128,7 +128,7 @@ class TestMinibatchLoss:
                                                         "batch_positives": 1,
                                                         "neg_ratio": 0}))
         u, j = int(batch.users[0]), int(batch.items[0])
-        via_batch = tr.minibatch_loss(model, batch).item()
+        via_batch = mdl.batch_objective(model, batch).item()
         via_pair = mdl.elbo_pair(
             model,
             dataset.train.row(u),
@@ -159,8 +159,8 @@ class TestMinibatchLoss:
             eps_user=np.vstack([batch.eps_user] * 2),
             eps_item=np.vstack([batch.eps_item] * 2),
         )
-        a = tr.minibatch_loss(model, batch).item()
-        b = tr.minibatch_loss(model, dup).item()
+        a = mdl.batch_objective(model, batch).item()
+        b = mdl.batch_objective(model, dup).item()
         assert b == pytest.approx(a, rel=1e-12)
 
     def test_order_invariant_with_frozen_noise(self):
@@ -182,8 +182,8 @@ class TestMinibatchLoss:
             eps_user=batch.eps_user[perm],
             eps_item=batch.eps_item[perm],
         )
-        a = tr.minibatch_loss(model, batch).item()
-        b = tr.minibatch_loss(model, shuffled).item()
+        a = mdl.batch_objective(model, batch).item()
+        b = mdl.batch_objective(model, shuffled).item()
         assert b == pytest.approx(a, rel=1e-12)
 
     def test_empty_batch_rejected(self):
@@ -198,7 +198,7 @@ class TestMinibatchLoss:
             eps_item=np.empty((0, 8)),
         )
         with pytest.raises(ValueError, match="empty"):
-            tr.minibatch_loss(model, empty)
+            mdl.batch_objective(model, empty)
 
     def test_gradient_matches_finite_differences(self):
         # frozen batch + frozen noise; hidden layers stay >= 10 wide so no
@@ -212,7 +212,7 @@ class TestMinibatchLoss:
         model = build_model_for(dataset, config, seed=3)
         batch = make_batch(dataset, config, sample_seed=53, noise_seed=83)
         err = ad.finite_diff_check(
-            lambda: tr.minibatch_loss(model, batch), model.parameters()
+            lambda: mdl.batch_objective(model, batch), model.parameters()
         )
         assert err < 1e-4
 
