@@ -7,12 +7,19 @@ and a closure that routes the incoming adjoint to the parents. `backward`
 walks the graph once in reverse topological order, accumulating gradients
 additively so a node used twice receives both contributions.
 
+Inside `no_grad()` no graph is recorded: each op still computes its value,
+but the node it returns keeps no parents and no backward closure, so
+intermediate values are freed as soon as the next op has consumed them.
+Scoring runs the networks' training forward this way instead of keeping a
+second, graph-free copy of each network.
+
 Not supported on purpose: broadcasting beyond the batch dimension (the bias
 row in `affine` is the one exception), sparse gradients, and anything GPU.
 """
 
 from __future__ import annotations
 
+import contextlib
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -24,6 +31,23 @@ from scipy.special import expit
 EXP_CLAMP = 15.0
 
 _FD_EPS = 1e-8  # denominator guard in relative errors
+
+_recording = True  # False inside no_grad()
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Build nodes without parents or backward closures inside the block.
+
+    The switch is process-wide and restored on exit, exceptions included;
+    leaves made by `parameter` stay trainable.
+    """
+    global _recording
+    previous, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = previous
 
 
 class Node:
@@ -45,6 +69,8 @@ class Node:
         self.value = value
         self.grad = None
         self.op = op
+        if not _recording:
+            parents, backward = (), None
         self.parents = tuple(parents)
         self._backward = backward
         if needs_grad is None:
@@ -62,19 +88,6 @@ class Node:
 
     def __repr__(self):
         return f"Node(op={self.op}, shape={self.value.shape})"
-
-    # small amount of operator sugar; right operands may be plain arrays
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
 
 
 def parameter(value) -> Node:
@@ -174,12 +187,12 @@ def affine(x, layer: LayerParams) -> Node:
 
 def relu(x: Node) -> Node:
     x = _lift(x)
-    mask = x.value > 0.0
 
+    # the mask is read from x.value in backward, so no node holds one
     def _bw(g):
-        _accumulate(x, g * mask)
+        _accumulate(x, g * (x.value > 0.0))
 
-    return Node(np.where(mask, x.value, 0.0), (x,), "relu", _bw)
+    return Node(np.maximum(x.value, 0.0), (x,), "relu", _bw)
 
 
 def sigmoid(x: Node) -> Node:
@@ -217,10 +230,9 @@ def log(x: Node) -> Node:
 def clip(x: Node, lo: float, hi: float) -> Node:
     """Clamp to [lo, hi]; gradient passes through only inside the range."""
     x = _lift(x)
-    inside = (x.value >= lo) & (x.value <= hi)
 
     def _bw(g):
-        _accumulate(x, g * inside)
+        _accumulate(x, g * ((x.value >= lo) & (x.value <= hi)))
 
     return Node(np.clip(x.value, lo, hi), (x,), "clip", _bw)
 

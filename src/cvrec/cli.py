@@ -155,6 +155,9 @@ def cmd_eval_cold(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    if args.topk is not None and args.topk < 1:
+        log.error("--topk must be >= 1, got %d", args.topk)
+        return EXIT_USAGE
     dataset = dat.load_dataset(args.data)
     if not 0 <= args.user < dataset.n_users:
         log.error("--user %d out of range [0, %d)", args.user, dataset.n_users)
@@ -374,6 +377,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         log.error("%s", exc)
         return EXIT_USAGE
+    except tr.TrainingDiverged as exc:
+        log.error("%s", exc)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.special import expit
 
 from . import autodiff as ad
 from .autodiff import LayerParams, Node
@@ -71,13 +70,6 @@ class DiagGaussian:
         return DiagGaussian(ad.repeat_rows(self.mean, k), ad.repeat_rows(self.log_var, k))
 
 
-def _forward_affine_values(x, layer: LayerParams) -> np.ndarray:
-    out = x @ layer.weight.value.T + layer.bias.value
-    if sparse.issparse(out):
-        out = np.asarray(out.todense())
-    return out
-
-
 class GaussianNet:
     """ReLU trunk with mean and log-variance heads (log-variance clamped)."""
 
@@ -106,15 +98,9 @@ class GaussianNet:
         return DiagGaussian(mean, log_var)
 
     def forward_values(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """Graph-free forward; returns (mean, log_var) arrays."""
-        h = x
-        for layer in self.trunk:
-            h = np.maximum(_forward_affine_values(h, layer), 0.0)
-        mean = _forward_affine_values(h, self.mean_head)
-        log_var = np.clip(
-            _forward_affine_values(h, self.log_var_head), -LOG_VAR_CLAMP, LOG_VAR_CLAMP
-        )
-        return mean, log_var
+        """`forward` without graph recording; returns (mean, log_var) arrays."""
+        with ad.no_grad():
+            return GaussianNet.forward(self, x).values()
 
     def layers(self) -> dict[str, LayerParams]:
         named = {f"trunk{i}": l for i, l in enumerate(self.trunk)}
@@ -144,10 +130,9 @@ class SigmoidNet:
         return ad.sigmoid(ad.affine(h, self.layers_list[-1]))
 
     def forward_values(self, x) -> np.ndarray:
-        h = x
-        for layer in self.layers_list[:-1]:
-            h = np.maximum(_forward_affine_values(h, layer), 0.0)
-        return expit(_forward_affine_values(h, self.layers_list[-1]))
+        """`forward` without graph recording; returns the output array."""
+        with ad.no_grad():
+            return SigmoidNet.forward(self, x).value
 
     def layers(self) -> dict[str, LayerParams]:
         return {f"layer{i}": l for i, l in enumerate(self.layers_list)}
@@ -388,48 +373,6 @@ def batch_objective(model: ModelParams, batch: PairBatch) -> Node:
 
     recon = ad.scale(ad.add(ad.add(ll_rows, ll_cols), ll_pair), 1.0 / k)
     return ad.scale(ad.sub(ad.add(kl_u, kl_v), recon), 1.0 / batch.size)
-
-
-def single_pair_batch(row, col, user_feat, item_feat, label, eps_u, eps_v) -> PairBatch:
-    eps_u = np.atleast_2d(np.asarray(eps_u, dtype=np.float64))
-    eps_v = np.atleast_2d(np.asarray(eps_v, dtype=np.float64))
-    row = np.atleast_2d(np.asarray(row, dtype=np.float64))
-    col = np.atleast_2d(np.asarray(col, dtype=np.float64))
-    return PairBatch(
-        users=np.array([0]),
-        items=np.array([0]),
-        labels=np.array([[float(label)]]),
-        user_feats=_as_2d(user_feat),
-        item_feats=_as_2d(item_feat),
-        user_rows=row,
-        item_cols=col,
-        user_targets=row,
-        item_targets=col,
-        eps_user=eps_u,
-        eps_item=eps_v,
-    )
-
-
-def elbo_pair(model: ModelParams, row, col, user_feat, item_feat, label,
-              eps_u, eps_v) -> Node:
-    """Loss contribution of one (user, item) pair; K is len(eps_u)."""
-    return batch_objective(
-        model, single_pair_batch(row, col, user_feat, item_feat, label, eps_u, eps_v)
-    )
-
-
-def expectation_term(model: ModelParams, u_samples, v_samples, label) -> Node:
-    """(1/K) sum_k log p(label | u_k, v_k), reusing already-drawn samples."""
-    u = u_samples if isinstance(u_samples, Node) else ad.constant(np.atleast_2d(u_samples))
-    v = v_samples if isinstance(v_samples, Node) else ad.constant(np.atleast_2d(v_samples))
-    if u.value.shape[0] != v.value.shape[0]:
-        raise ValueError(
-            f"expectation_term: {u.value.shape[0]} user vs {v.value.shape[0]} item samples"
-        )
-    k = u.value.shape[0]
-    probs = model.interact.forward(ad.concat_cols([u, v]))
-    targets = np.full((k, 1), float(label))
-    return ad.scale(bernoulli_loglik(targets, probs), 1.0 / k)
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,8 @@ def score_candidates(model: ModelParams, candidates, u_mean, u_lv,
     item noise keys; `user_key` keys the user noise. Sample s of the user
     is paired with sample s of each candidate.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     d = model.dims.latent_dim
     n_cand = len(candidates)
     u = _draw(u_mean, u_lv, _noise(seed, _USER_STREAM, user_key, n_samples, d))

@@ -64,6 +64,9 @@ class TrainConfig:
             raise ValueError("neg_ratio must be >= 0")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
+        for name in ("latent_dim", "mc_samples", "val_samples"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         self.inference_hidden = tuple(self.inference_hidden)
         self.decoder_hidden = tuple(self.decoder_hidden)
 

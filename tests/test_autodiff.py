@@ -84,6 +84,11 @@ class TestActivations:
         out = ad.relu(ad.constant([[-1.0, 2.0]]))
         np.testing.assert_array_equal(out.value, [[0.0, 2.0]])
 
+    def test_relu_gradient_mask(self):
+        x = ad.parameter([[-1.0, 0.0, 2.0]])
+        ad.backward(ad.sum_all(ad.relu(x)))
+        np.testing.assert_array_equal(x.grad, [[0.0, 0.0, 1.0]])
+
     def test_sigmoid_at_zero(self):
         assert ad.sigmoid(ad.constant([[0.0]])).item() == 0.5
 
@@ -195,6 +200,40 @@ class TestConcatRepeat:
         x = ad.parameter([[-2.0, 0.5, 2.0]])
         ad.backward(ad.sum_all(ad.clip(x, -1.0, 1.0)))
         np.testing.assert_array_equal(x.grad, [[0.0, 1.0, 0.0]])
+
+
+class TestNoGrad:
+    def test_node_built_inside_has_no_parents(self):
+        layer = ad.LayerParams(ad.parameter(np.ones((2, 2))), ad.parameter(np.zeros((1, 2))))
+        with ad.no_grad():
+            out = ad.relu(ad.affine(np.ones((1, 2)), layer))
+        assert out.parents == ()
+        assert not out.needs_grad
+        np.testing.assert_array_equal(out.value, [[2.0, 2.0]])
+
+    def test_recording_resumes_after_block(self):
+        x = ad.parameter([[1.0, -2.0]])
+        with ad.no_grad():
+            ad.relu(x)
+        out = ad.relu(x)
+        assert out.parents == (x,)
+        ad.backward(ad.sum_all(out))
+        np.testing.assert_array_equal(x.grad, [[1.0, 0.0]])
+
+    def test_recording_resumes_after_exception(self):
+        x = ad.parameter([[1.0]])
+        with pytest.raises(RuntimeError, match="inside"):
+            with ad.no_grad():
+                raise RuntimeError("inside")
+        assert ad.scale(x, 2.0).parents == (x,)
+
+    def test_nested_blocks_restore_outer_state(self):
+        x = ad.parameter([[1.0]])
+        with ad.no_grad():
+            with ad.no_grad():
+                pass
+            assert ad.scale(x, 2.0).parents == ()
+        assert ad.scale(x, 2.0).parents == (x,)
 
 
 class TestFiniteDiffCheck:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cvrec import cli
+from cvrec import train as tr
 from cvrec.data import load_dataset
 from cvrec.model import load_checkpoint
 
@@ -161,6 +162,18 @@ class TestTrain:
         rc = cli.main(["train", "--data", str(tmp_path / "no.npz")])
         assert rc == 4
 
+    @pytest.mark.parametrize("key", ["mc_samples", "val_samples", "latent_dim"])
+    def test_zero_config_value_exit_2(self, cache, small_config_file, tmp_path,
+                                      key, caplog):
+        cfg = tmp_path / "zero.json"
+        cfg.write_text(json.dumps({**json.loads(small_config_file.read_text()), key: 0}))
+        ckpt = tmp_path / "m.npz"
+        rc = cli.main(["train", "--data", str(cache), "--config", str(cfg),
+                       "--out", str(ckpt)])
+        assert rc == 2
+        assert not ckpt.exists()
+        assert any(key in r.message for r in caplog.records)
+
 
 class TestEvaluate:
     def test_prints_table_and_csv(self, cache, checkpoint, tmp_path, capsys):
@@ -173,6 +186,13 @@ class TestEvaluate:
         lines = out.read_text().splitlines()
         assert lines[0] == "section,k,hr,ndcg,cases,seed,fingerprint"
         assert len(lines) == 3
+
+    def test_zero_samples_exit_2(self, cache, checkpoint, caplog, capsys):
+        rc = cli.main(["evaluate", "--data", str(cache), "--ckpt", str(checkpoint),
+                       "--samples", "0"])
+        assert rc == 2
+        assert capsys.readouterr().out == ""
+        assert any("n_samples" in r.message for r in caplog.records)
 
 
 class TestColdPipeline:
@@ -234,6 +254,21 @@ class TestPredict:
         assert capsys.readouterr().out == ""
         assert any("out of range" in r.message for r in caplog.records)
 
+    def test_zero_samples_exit_2(self, cache, checkpoint, caplog, capsys):
+        rc = cli.main(["predict", "--data", str(cache), "--ckpt", str(checkpoint),
+                       "--user", "0", "--samples", "0"])
+        assert rc == 2
+        assert capsys.readouterr().out == ""
+        assert any("n_samples" in r.message for r in caplog.records)
+
+    @pytest.mark.parametrize("topk", ["0", "-25"])
+    def test_topk_below_one_exit_2(self, cache, checkpoint, topk, caplog, capsys):
+        rc = cli.main(["predict", "--data", str(cache), "--ckpt", str(checkpoint),
+                       "--user", "0", "--samples", "8", f"--topk={topk}"])
+        assert rc == 2
+        assert capsys.readouterr().out == ""
+        assert any("--topk" in r.message for r in caplog.records)
+
 
 class TestAblate:
     def test_table_covers_variants(self, cache, tmp_path, capsys):
@@ -249,6 +284,15 @@ class TestAblate:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "variant,seed,hr@10,ndcg@10"
         assert {l.split(",")[0] for l in lines[1:]} == {"nvh", "nvh-n", "nvh-u", "nvh-i"}
+
+    def test_diverged_training_exit_3(self, cache, monkeypatch, caplog):
+        def diverge(*args, **kwargs):
+            raise tr.TrainingDiverged(step=2, epoch=0, detail="loss=nan")
+
+        monkeypatch.setattr(tr, "fit", diverge)
+        rc = cli.main(["ablate", "--data", str(cache), "--samples", "8"])
+        assert rc == 3
+        assert any("diverged" in r.message for r in caplog.records)
 
 
 class TestSweep:

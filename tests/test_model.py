@@ -3,8 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy import sparse
+
 from cvrec import autodiff as ad
 from cvrec import model as m
+
+NETWORKS = ("prior_user", "prior_item", "inf_user", "inf_item",
+            "dec_user", "dec_item", "interact")
 
 
 def tiny_dims(n_users=6, n_items=9, p=4, q=5, d=3):
@@ -117,15 +122,22 @@ class TestInfer:
                 batched.log_var.value[i], single.log_var.value[0], atol=1e-12
             )
 
-    def test_forward_values_matches_graph_forward(self):
+    @pytest.mark.parametrize("fmt", ["dense", "csr"])
+    @pytest.mark.parametrize("name", NETWORKS)
+    def test_forward_values_matches_graph_forward(self, name, fmt):
         model = tiny_model(seed=10)
+        net = getattr(model, name)
         rng = np.random.default_rng(5)
-        feats = rng.normal(size=(3, 4))
-        rows = (rng.random((3, 9)) < 0.4).astype(float)
-        g = m.infer(model.inf_user, feats, rows)
-        mean, log_var = model.inf_user.forward_values(m.inference_input(feats, rows))
-        np.testing.assert_allclose(mean, g.mean.value, atol=1e-14)
-        np.testing.assert_allclose(log_var, g.log_var.value, atol=1e-14)
+        x = rng.normal(size=(3, net.in_dim)) * (rng.random((3, net.in_dim)) < 0.5)
+        if fmt == "csr":
+            x = sparse.csr_array(x)
+        graph = net.forward(x)
+        want = graph.values() if isinstance(graph, m.DiagGaussian) else (graph.value,)
+        got = net.forward_values(x)
+        got = got if isinstance(got, tuple) else (got,)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
 
 
 class TestReparameterize:
@@ -236,19 +248,13 @@ class TestObjective:
 
     def test_k4_with_duplicated_noise_equals_k1(self):
         model = tiny_model(seed=11)
-        rng = np.random.default_rng(12)
-        d = model.dims
-        row = (rng.random(d.n_items) < 0.4).astype(float)
-        col = (rng.random(d.n_users) < 0.4).astype(float)
-        fu = rng.normal(size=d.user_feat_dim)
-        gv = rng.normal(size=d.item_feat_dim)
-        eu = rng.standard_normal((1, d.latent_dim))
-        ev = rng.standard_normal((1, d.latent_dim))
-        k1 = m.elbo_pair(model, row, col, fu, gv, 1.0, eu, ev).item()
-        k4 = m.elbo_pair(
-            model, row, col, fu, gv, 1.0, np.repeat(eu, 4, 0), np.repeat(ev, 4, 0)
-        ).item()
-        assert k4 == pytest.approx(k1, rel=1e-12)
+        k1 = random_batch(model, np.random.default_rng(12), n_pairs=3)
+        k4 = m.PairBatch(**{**k1.__dict__,
+                            "eps_user": np.repeat(k1.eps_user, 4, axis=0),
+                            "eps_item": np.repeat(k1.eps_item, 4, axis=0)})
+        assert k4.k == 4
+        assert m.batch_objective(model, k4).item() == pytest.approx(
+            m.batch_objective(model, k1).item(), rel=1e-12)
 
     def test_gradient_matches_finite_differences(self):
         # seed chosen so no relu kink sits within the +-h probe window
@@ -280,24 +286,6 @@ class TestObjective:
             eps_item=batch.eps_item,
         )
         assert m.batch_objective(model, shuffled).item() == base
-
-    def test_expectation_term_reuses_samples(self):
-        model = tiny_model(seed=18)
-        rng = np.random.default_rng(19)
-        u = rng.normal(size=(3, 3))
-        v = rng.normal(size=(3, 3))
-        got = m.expectation_term(model, u, v, 1.0).item()
-        probs = model.interact.forward_values(np.hstack([u, v]))
-        want = np.log(np.clip(probs, m.PROB_EPS, 1 - m.PROB_EPS)).mean()
-        assert got == pytest.approx(want, rel=1e-12)
-
-    def test_expectation_term_k1(self):
-        model = tiny_model(seed=20)
-        u = np.zeros((1, 3))
-        v = np.ones((1, 3))
-        p = model.interact.forward_values(np.hstack([u, v]))[0, 0]
-        got = m.expectation_term(model, u, v, 0.0).item()
-        assert got == pytest.approx(np.log(1 - p), rel=1e-9)
 
     def test_variance_collapse_matches_plugin_mean(self):
         # log_var = -15 pins the std at exp(-7.5) ~ 5.5e-4, so draws sit on

@@ -73,6 +73,12 @@ class TestScoreWarm:
         scores = [warm_score(result.model, dataset, 0, 3, 128, seed=s) for s in range(12)]
         assert np.std(scores, ddof=1) < 0.05
 
+    @pytest.mark.parametrize("n_samples", [0, -1])
+    def test_no_samples_rejected(self, trained_block, n_samples):
+        dataset, result = trained_block
+        with pytest.raises(ValueError, match="n_samples"):
+            warm_score(result.model, dataset, 0, 3, n_samples)
+
 
 class TestScoreCold:
     def test_cold_user_feature_dim_checked(self, trained_block):
