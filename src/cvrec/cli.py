@@ -58,6 +58,14 @@ def cmd_prepare(args) -> int:
     return EXIT_OK
 
 
+def _parse_ks(text: str) -> tuple[int, ...]:
+    """Comma-separated HR/NDCG cutoffs, each at least 1."""
+    ks = tuple(int(k) for k in text.split(","))
+    if min(ks) < 1:
+        raise ValueError(f"--k cutoffs must be >= 1, got {text}")
+    return ks
+
+
 def _load_config(path, variant=None) -> tr.TrainConfig:
     config = tr.TrainConfig.from_file(path) if path else tr.TrainConfig()
     if variant:
@@ -114,9 +122,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    ks = _parse_ks(args.k)
     dataset = dat.load_dataset(args.data)
     model, meta = mdl.load_checkpoint(args.ckpt)
-    ks = tuple(int(k) for k in args.k.split(","))
     report = ev.evaluate(
         model, dataset, ks=ks, n_samples=args.samples, seed=args.seed,
         fingerprint=meta.get("extra", {}).get("fingerprint", ""),
@@ -129,6 +137,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_eval_cold(args) -> int:
+    ks = _parse_ks(args.k)
     dataset = dat.load_dataset(args.data)
     model, meta = mdl.load_checkpoint(args.ckpt)
     trained_split = meta.get("extra", {}).get("split", "loo")
@@ -142,7 +151,6 @@ def cmd_eval_cold(args) -> int:
         dataset.interactions, dataset.side, fraction=args.fraction,
         mode=args.mode, seed=meta["seed"],
     )
-    ks = tuple(int(k) for k in args.k.split(","))
     report = ev.evaluate_cold(
         model, dataset, split, mode=args.mode, ks=ks,
         n_samples=args.samples, seed=args.seed,
@@ -189,10 +197,10 @@ def cmd_predict(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    ks = _parse_ks(args.k)
     dataset = dat.load_dataset(args.data)
     config = _load_config(args.config)
     seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [config.seed]
-    ks = tuple(int(k) for k in args.k.split(","))
     rows = ev.compare_ablations(dataset, config, seeds=seeds, ks=ks,
                                 n_samples=args.samples)
     header = ["variant", "seed"] + [f"hr@{k}" for k in ks] + [f"ndcg@{k}" for k in ks]
@@ -238,11 +246,11 @@ def _sweep_one(payload):
 
 
 def cmd_sweep(args) -> int:
+    ks = _parse_ks(args.k)
     config = _load_config(args.config)
     raw = json.loads(config.to_json())
     if args.seed is not None:
         raw["seed"] = args.seed
-    ks = tuple(int(k) for k in args.k.split(","))
     values = [int(v) for v in args.values.split(",")]
     payloads = [(args.data, raw, args.param, v, ks, args.samples) for v in values]
     if args.jobs > 1:

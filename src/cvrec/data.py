@@ -15,6 +15,7 @@ import json
 import logging
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -43,14 +44,18 @@ class DataError(Exception):
 
 @dataclass
 class InteractionMatrix:
-    """Sparse binary feedback with per-user and per-item index views."""
+    """Sparse binary feedback stored once, as a CSR over users.
+
+    `items[indptr[u]:indptr[u + 1]]` are user u's positive item ids, sorted
+    ascending, and `timestamps` is aligned with `items`. The arrays are
+    read-only; pairs, per-user views and the sparse matrices derive from them.
+    """
 
     n_users: int
     n_items: int
-    user_items: list[np.ndarray]        # sorted item ids per user
-    user_timestamps: list[np.ndarray]   # aligned with user_items
-    _csr: sparse.csr_array | None = field(default=None, repr=False)
-    _csc: sparse.csc_array | None = field(default=None, repr=False)
+    indptr: np.ndarray       # (n_users + 1,) offsets into items
+    items: np.ndarray        # item ids, sorted within each user
+    timestamps: np.ndarray   # aligned with items
     _csr_t: sparse.csr_array | None = field(default=None, repr=False)
 
     @classmethod
@@ -60,68 +65,52 @@ class InteractionMatrix:
         if timestamps is None:
             timestamps = np.zeros(len(users), dtype=np.int64)
         timestamps = np.asarray(timestamps, dtype=np.int64)
+        if not len(users) == len(items) == len(timestamps):
+            raise DataError(
+                f"users, items and timestamps differ in length: "
+                f"{len(users)}, {len(items)}, {len(timestamps)}"
+            )
         if len(users) and (users.min() < 0 or users.max() >= n_users):
             raise DataError(f"user id out of range [0, {n_users})")
         if len(items) and (items.min() < 0 or items.max() >= n_items):
             raise DataError(f"item id out of range [0, {n_items})")
         codes = users * n_items + items
-        if len(np.unique(codes)) != len(codes):
+        # stable sort: linear on input that is already sorted (caches, without())
+        order = np.argsort(codes, kind="stable")
+        codes = codes[order]
+        if np.any(codes[1:] == codes[:-1]):
             raise DataError("duplicate (user, item) interaction")
-        user_items = [np.empty(0, dtype=np.int64) for _ in range(n_users)]
-        user_ts = [np.empty(0, dtype=np.int64) for _ in range(n_users)]
-        order = np.lexsort((items, users))
-        users, items, timestamps = users[order], items[order], timestamps[order]
-        bounds = np.searchsorted(users, np.arange(n_users + 1))
-        for u in range(n_users):
-            lo, hi = bounds[u], bounds[u + 1]
-            user_items[u] = items[lo:hi].copy()
-            user_ts[u] = timestamps[lo:hi].copy()
-        return cls(n_users, n_items, user_items, user_ts)
+        indptr = np.searchsorted(codes, np.arange(n_users + 1) * n_items)
+        arrays = indptr, items[order], timestamps[order]
+        for a in arrays:
+            a.flags.writeable = False
+        return cls(n_users, n_items, *arrays)
 
     @property
     def n_positives(self) -> int:
-        return int(sum(len(v) for v in self.user_items))
+        return len(self.items)
+
+    @cached_property
+    def user_items(self) -> list[np.ndarray]:
+        """Sorted item ids per user: read-only views into `items`."""
+        return [self.items[lo:hi] for lo, hi in zip(self.indptr[:-1], self.indptr[1:])]
 
     def pairs(self):
         """All positive (users, items) as two flat arrays, user-major order."""
-        if self.n_positives == 0:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        users = np.concatenate(
-            [np.full(len(v), u, dtype=np.int64) for u, v in enumerate(self.user_items)]
-        )
-        items = np.concatenate(self.user_items)
-        return users, items
+        users = np.repeat(np.arange(self.n_users, dtype=np.int64), np.diff(self.indptr))
+        return users, self.items
 
     def to_csr(self) -> sparse.csr_array:
-        if self._csr is None:
-            users, items = self.pairs()
-            self._csr = sparse.csr_array(
-                (np.ones(len(users)), (users, items)), shape=(self.n_users, self.n_items)
-            )
-        return self._csr
-
-    def to_csc(self) -> sparse.csc_array:
-        if self._csc is None:
-            self._csc = sparse.csc_array(self.to_csr())
-        return self._csc
+        return sparse.csr_array(
+            (np.ones(self.n_positives), self.items, self.indptr),
+            shape=(self.n_users, self.n_items),
+        )
 
     def to_csr_t(self) -> sparse.csr_array:
         """Transposed feedback (items x users) in row form, cached."""
         if self._csr_t is None:
-            self._csr_t = sparse.csr_array(self.to_csc().T)
+            self._csr_t = sparse.csr_array(self.to_csr().T)
         return self._csr_t
-
-    def row(self, i) -> np.ndarray:
-        """Dense binary feedback vector of user i (length n_items)."""
-        out = np.zeros(self.n_items)
-        out[self.user_items[i]] = 1.0
-        return out
-
-    def col(self, j) -> np.ndarray:
-        """Dense binary feedback vector of item j (length n_users)."""
-        out = np.zeros(self.n_users)
-        out[self.to_csc().indices[self.to_csc().indptr[j]:self.to_csc().indptr[j + 1]]] = 1.0
-        return out
 
     def has(self, i, j) -> bool:
         pos = np.searchsorted(self.user_items[i], j)
@@ -129,14 +118,14 @@ class InteractionMatrix:
 
     def without(self, drop_pairs) -> "InteractionMatrix":
         """Copy with the given (user, item) pairs removed."""
-        drop = {(int(u), int(j)) for u, j in drop_pairs}
+        drop = np.asarray(drop_pairs, dtype=np.int64).reshape(-1, 2)
+        # a pair outside the shape is no positive, and its code would alias one
+        drop = drop[((drop >= 0) & (drop < (self.n_users, self.n_items))).all(axis=1)]
         users, items = self.pairs()
-        ts = np.concatenate(self.user_timestamps) if self.n_positives else np.empty(0)
-        keep = np.array(
-            [(int(u), int(j)) not in drop for u, j in zip(users, items)], dtype=bool
-        )
+        keep = ~np.isin(users * self.n_items + items,
+                        drop[:, 0] * self.n_items + drop[:, 1])
         return InteractionMatrix.from_pairs(
-            self.n_users, self.n_items, users[keep], items[keep], ts[keep]
+            self.n_users, self.n_items, users[keep], items[keep], self.timestamps[keep]
         )
 
 
@@ -561,10 +550,10 @@ def leave_one_out_split(interactions: InteractionMatrix,
     held_out = []
     cases = []
     for u in range(interactions.n_users):
-        items = interactions.user_items[u]
-        if len(items) < 2:
+        lo, hi = interactions.indptr[u], interactions.indptr[u + 1]
+        if hi - lo < 2:
             continue
-        ts = interactions.user_timestamps[u]
+        items, ts = interactions.items[lo:hi], interactions.timestamps[lo:hi]
         latest = np.lexsort((items, ts))[-1]
         target = int(items[latest])
         held_out.append((u, target))
@@ -607,7 +596,8 @@ def sample_minibatch(train: InteractionMatrix, batch_positives: int,
 
     n_neg = neg_ratio * batch_positives
     if n_neg:
-        pos_codes = np.sort(pos_users * train.n_items + pos_items)
+        # pairs() is user-major with items sorted per user, so the codes are sorted
+        pos_codes = pos_users * train.n_items + pos_items
         neg_codes = np.empty(0, dtype=np.int64)
         while len(neg_codes) < n_neg:
             draw = rng.integers(0, train.n_users * train.n_items,
@@ -709,8 +699,6 @@ def _unpack_csr(prefix: str, data) -> sparse.csr_array:
 
 def save_dataset(dataset: Dataset, path) -> None:
     users, items = dataset.interactions.pairs()
-    ts = (np.concatenate(dataset.interactions.user_timestamps)
-          if dataset.interactions.n_positives else np.empty(0, dtype=np.int64))
     tr_users, tr_items = dataset.train.pairs()
     meta = {
         "magic": CACHE_MAGIC,
@@ -724,7 +712,7 @@ def save_dataset(dataset: Dataset, path) -> None:
         "__meta__": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
         "inter_users": users,
         "inter_items": items,
-        "inter_ts": ts,
+        "inter_ts": dataset.interactions.timestamps,
         "train_users": tr_users,
         "train_items": tr_items,
         "case_user": np.array([c.user for c in dataset.eval_cases], dtype=np.int64),

@@ -195,6 +195,49 @@ class TestEvaluate:
         assert any("n_samples" in r.message for r in caplog.records)
 
 
+    def test_short_timestamps_in_cache_exit_4(self, cache, checkpoint, tmp_path,
+                                              caplog, capsys):
+        with np.load(cache) as data:
+            arrays = dict(data)
+        arrays["inter_ts"] = arrays["inter_ts"][:-1]
+        corrupt = tmp_path / "corrupt.npz"
+        np.savez_compressed(corrupt, **arrays)
+        rc = cli.main(["evaluate", "--data", str(corrupt), "--ckpt", str(checkpoint),
+                       "--samples", "8"])
+        assert rc == 4
+        assert capsys.readouterr().out == ""
+        assert any("differ in length" in r.message for r in caplog.records)
+
+
+class TestCutoffs:
+    @pytest.mark.parametrize("k", ["0", "-3", "0,5"])
+    def test_evaluate_k_below_one_exit_2(self, cache, checkpoint, k, caplog, capsys):
+        rc = cli.main(["evaluate", "--data", str(cache), "--ckpt", str(checkpoint),
+                       "--samples", "8", f"--k={k}"])
+        assert rc == 2
+        assert capsys.readouterr().out == ""
+        assert any("--k" in r.message for r in caplog.records)
+
+    def test_eval_cold_k_below_one_exit_2(self, cache, checkpoint, caplog, capsys):
+        rc = cli.main(["eval-cold", "--data", str(cache), "--ckpt", str(checkpoint),
+                       "--mode", "user", "--samples", "8", "--k=0,5"])
+        assert rc == 2
+        assert capsys.readouterr().out == ""
+        assert any("--k" in r.message for r in caplog.records)
+
+    @pytest.mark.parametrize("command", [["ablate"],
+                                         ["sweep", "--param", "dim", "--values", "6"]])
+    def test_rejected_before_training(self, cache, command, monkeypatch, caplog,
+                                      capsys):
+        fitted = []
+        monkeypatch.setattr(tr, "fit", lambda *args, **kwargs: fitted.append(args))
+        rc = cli.main([*command, "--data", str(cache), "--samples", "8", "--k=5,0"])
+        assert rc == 2
+        assert not fitted
+        assert capsys.readouterr().out == ""
+        assert any("--k" in r.message for r in caplog.records)
+
+
 class TestColdPipeline:
     def test_cold_train_then_eval(self, cache, small_config_file, tmp_path, capsys):
         ckpt = tmp_path / "cold.npz"

@@ -43,9 +43,9 @@ def ml_dir(tmp_path):
 class TestInteractionMatrix:
     def test_row_col_views(self):
         m = d.InteractionMatrix.from_pairs(3, 4, [0, 0, 2], [1, 3, 0])
-        np.testing.assert_array_equal(m.row(0), [0, 1, 0, 1])
-        np.testing.assert_array_equal(m.row(1), [0, 0, 0, 0])
-        np.testing.assert_array_equal(m.col(0), [0, 0, 1])
+        np.testing.assert_array_equal(m.to_csr()[[0]].toarray()[0], [0, 1, 0, 1])
+        np.testing.assert_array_equal(m.to_csr()[[1]].toarray()[0], [0, 0, 0, 0])
+        np.testing.assert_array_equal(m.to_csr_t()[[0]].toarray()[0], [0, 0, 1])
         assert m.has(0, 3) and not m.has(1, 0)
 
     def test_duplicate_pair_rejected(self):
@@ -55,6 +55,88 @@ class TestInteractionMatrix:
     def test_out_of_range_rejected(self):
         with pytest.raises(d.DataError, match="out of range"):
             d.InteractionMatrix.from_pairs(2, 2, [0, 2], [0, 1])
+
+    @pytest.mark.parametrize("users,items,timestamps", [
+        ([0], [1], [5, 6]),        # extra timestamp
+        ([0, 1], [1], None),       # short items
+        ([0, 1], [1, 2], [5]),     # short timestamps
+    ])
+    def test_unequal_lengths_rejected(self, users, items, timestamps):
+        with pytest.raises(d.DataError, match="differ in length"):
+            d.InteractionMatrix.from_pairs(2, 3, users, items, timestamps)
+
+    def test_without_ignores_pairs_outside_shape(self):
+        m = d.InteractionMatrix.from_pairs(2, 3, [0, 1], [1, 0])
+        kept = m.without([(0, 3), (-1, 2), (2, 0)])
+        assert set(zip(*kept.pairs())) == {(0, 1), (1, 0)}
+
+    def test_views_are_read_only(self):
+        m = d.InteractionMatrix.from_pairs(2, 3, [1, 0], [2, 1], [4, 5])
+        for a in (m.indptr, m.items, m.timestamps, *m.user_items):
+            assert not a.flags.writeable
+
+
+@st.composite
+def feedback(draw):
+    """(n_users, n_items, users, items, timestamps): distinct pairs, random order."""
+    n_users, n_items = draw(st.integers(0, 6)), draw(st.integers(0, 7))
+    cells = n_users * n_items
+    codes = draw(st.lists(st.integers(0, max(cells - 1, 0)), unique=True,
+                          max_size=cells))
+    ts = draw(st.lists(st.integers(0, 40), min_size=len(codes), max_size=len(codes)))
+    users, items = np.divmod(np.asarray(codes, dtype=np.int64), max(n_items, 1))
+    return n_users, n_items, users, items, np.asarray(ts, dtype=np.int64)
+
+
+def _timestamp_of(users, items, ts):
+    return {(int(u), int(i)): int(t) for u, i, t in zip(users, items, ts)}
+
+
+class TestInteractionMatrixProperties:
+    @given(feedback())
+    @settings(max_examples=80, deadline=None)
+    def test_views_agree_with_dense_grid(self, fb):
+        n_users, n_items, users, items, ts = fb
+        m = d.InteractionMatrix.from_pairs(n_users, n_items, users, items, ts)
+        grid = np.zeros((n_users, n_items))
+        grid[users, items] = 1.0
+        assert m.n_positives == len(users)
+        pu, pi = m.pairs()
+        # user-major, items ascending within each user
+        codes = pu * n_items + pi
+        assert (np.diff(codes) > 0).all()
+        np.testing.assert_array_equal(m.to_csr().toarray(), grid)
+        np.testing.assert_array_equal(m.to_csr_t().toarray(), grid.T)
+        assert len(m.user_items) == n_users
+        for u, row in enumerate(m.user_items):
+            np.testing.assert_array_equal(row, np.flatnonzero(grid[u]))
+        assert _timestamp_of(pu, pi, m.timestamps) == _timestamp_of(users, items, ts)
+
+    @given(feedback(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_without_removes_exactly_drop(self, fb, data):
+        n_users, n_items, users, items, ts = fb
+        m = d.InteractionMatrix.from_pairs(n_users, n_items, users, items, ts)
+        picked = data.draw(st.lists(st.sampled_from(range(len(users))), unique=True)
+                           if len(users) else st.just([]))
+        drop = {(int(users[k]), int(items[k])) for k in picked}
+        out = m.without(sorted(drop))
+        kept = _timestamp_of(*out.pairs(), out.timestamps)
+        before = _timestamp_of(users, items, ts)
+        assert kept == {p: t for p, t in before.items() if p not in drop}
+
+    @given(feedback())
+    @settings(max_examples=60, deadline=None)
+    def test_leave_one_out_partitions_positives(self, fb):
+        n_users, n_items, users, items, ts = fb
+        m = d.InteractionMatrix.from_pairs(n_users, n_items, users, items, ts)
+        train, cases = d.leave_one_out_split(m, n_negatives=2, seed=0)
+        held = {(c.user, c.target) for c in cases}
+        kept = _timestamp_of(*train.pairs(), train.timestamps)
+        before = _timestamp_of(users, items, ts)
+        assert not held & kept.keys()
+        assert held | kept.keys() == before.keys()
+        assert all(before[p] == t for p, t in kept.items())
 
 
 class TestLoadMovielens:
@@ -366,7 +448,11 @@ class TestCache:
         back = d.load_dataset(path)
         assert back.name == ds.name and back.seed == ds.seed
         assert back.n_users == ds.n_users and back.n_items == ds.n_items
-        assert set(zip(*back.train.pairs())) == set(zip(*ds.train.pairs()))
+        for part in ("interactions", "train"):
+            for a, b in zip(getattr(back, part).pairs(), getattr(ds, part).pairs()):
+                np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(back.interactions.timestamps,
+                                      ds.interactions.timestamps)
         assert len(back.eval_cases) == len(ds.eval_cases)
         for a, b in zip(back.eval_cases, ds.eval_cases):
             assert a.user == b.user and a.target == b.target

@@ -188,6 +188,19 @@ class TestRank:
                                          [scores[c] for c in candidates], item)
             assert got == pos
 
+    @given(st.lists(st.integers(0, 60), min_size=1, max_size=12, unique=True),
+           st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_rank_of_target_is_position_in_order(self, candidates, data):
+        # few distinct scores, so ties are common
+        scores = data.draw(st.lists(st.sampled_from([0.1, 0.5, 0.9]),
+                                    min_size=len(candidates), max_size=len(candidates)))
+        target = data.draw(st.sampled_from(candidates))
+        ordered = [item for item, _ in predict.order_by_score(candidates, scores)]
+        assert predict.rank_of_target(candidates, scores, target) == (
+            ordered.index(target) + 1
+        )
+
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=25, deadline=None)
     def test_rank_invariant_under_monotone_transforms(self, seed):
