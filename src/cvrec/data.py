@@ -91,6 +91,14 @@ class InteractionMatrix:
         return len(self.items)
 
     @cached_property
+    def codes(self) -> np.ndarray:
+        """Positive (user, item) pairs as sorted codes user * n_items + item."""
+        users, items = self.pairs()
+        codes = users * self.n_items + items
+        codes.flags.writeable = False
+        return codes
+
+    @cached_property
     def user_items(self) -> list[np.ndarray]:
         """Sorted item ids per user: read-only views into `items`."""
         return [self.items[lo:hi] for lo, hi in zip(self.indptr[:-1], self.indptr[1:])]
@@ -122,8 +130,7 @@ class InteractionMatrix:
         # a pair outside the shape is no positive, and its code would alias one
         drop = drop[((drop >= 0) & (drop < (self.n_users, self.n_items))).all(axis=1)]
         users, items = self.pairs()
-        keep = ~np.isin(users * self.n_items + items,
-                        drop[:, 0] * self.n_items + drop[:, 1])
+        keep = ~np.isin(self.codes, drop[:, 0] * self.n_items + drop[:, 1])
         return InteractionMatrix.from_pairs(
             self.n_users, self.n_items, users[keep], items[keep], self.timestamps[keep]
         )
@@ -549,6 +556,7 @@ def leave_one_out_split(interactions: InteractionMatrix,
     rng = np.random.default_rng(seed)
     held_out = []
     cases = []
+    unseen = np.ones(interactions.n_items, dtype=bool)
     for u in range(interactions.n_users):
         lo, hi = interactions.indptr[u], interactions.indptr[u + 1]
         if hi - lo < 2:
@@ -557,8 +565,7 @@ def leave_one_out_split(interactions: InteractionMatrix,
         latest = np.lexsort((items, ts))[-1]
         target = int(items[latest])
         held_out.append((u, target))
-        candidates = np.setdiff1d(np.arange(interactions.n_items), items,
-                                  assume_unique=True)
+        candidates = _unseen_items(unseen, items)
         truncated = len(candidates) < n_negatives
         if truncated:
             log.warning("user %d has only %d negative candidates", u, len(candidates))
@@ -570,6 +577,15 @@ def leave_one_out_split(interactions: InteractionMatrix,
     return train, cases
 
 
+def _unseen_items(unseen: np.ndarray, items: np.ndarray) -> np.ndarray:
+    """Ascending ids of the items not in `items`. `unseen` is an all-True
+    scratch row over the catalogue, left all-True on return."""
+    unseen[items] = False
+    pool = np.flatnonzero(unseen)
+    unseen[items] = True
+    return pool
+
+
 def sample_minibatch(train: InteractionMatrix, batch_positives: int,
                      neg_ratio: int, rng: np.random.Generator):
     """Uniform positive pairs plus neg_ratio-times-as-many unobserved pairs.
@@ -579,8 +595,8 @@ def sample_minibatch(train: InteractionMatrix, batch_positives: int,
     """
     if neg_ratio < 0:
         raise ValueError("neg_ratio must be >= 0")
-    pos_users, pos_items = train.pairs()
-    n_pos = len(pos_users)
+    pos_codes = train.codes
+    n_pos = len(pos_codes)
     if n_pos == 0:
         raise DataError("cannot sample from a matrix without positives")
     replace = batch_positives > n_pos
@@ -590,14 +606,12 @@ def sample_minibatch(train: InteractionMatrix, batch_positives: int,
             batch_positives, n_pos,
         )
     pick = rng.choice(n_pos, size=batch_positives, replace=replace)
-    users = pos_users[pick]
-    items = pos_items[pick]
+    users = pos_codes[pick] // train.n_items
+    items = train.items[pick]
     labels = np.ones(batch_positives)
 
     n_neg = neg_ratio * batch_positives
     if n_neg:
-        # pairs() is user-major with items sorted per user, so the codes are sorted
-        pos_codes = pos_users * train.n_items + pos_items
         neg_codes = np.empty(0, dtype=np.int64)
         while len(neg_codes) < n_neg:
             draw = rng.integers(0, train.n_users * train.n_items,
@@ -643,7 +657,7 @@ def make_cold_split(interactions: InteractionMatrix, side: SideInfo,
     )
 
     next_cold = interactions.n_users if mode == "user" else interactions.n_items
-    all_items = np.arange(interactions.n_items)
+    unseen = np.ones(interactions.n_items, dtype=bool)
 
     def build_cases(idx):
         nonlocal next_cold
@@ -655,8 +669,7 @@ def make_cold_split(interactions: InteractionMatrix, side: SideInfo,
             u, j = int(users[ix]), int(items[ix])
             # candidates are always items for the source user; in item mode
             # only the target is scored through the item prior
-            pool = np.setdiff1d(all_items, interactions.user_items[u],
-                                assume_unique=True)
+            pool = _unseen_items(unseen, interactions.user_items[u])
             truncated = len(pool) < n_negatives
             negatives = (pool.copy() if truncated
                          else rng.choice(pool, size=n_negatives, replace=False))

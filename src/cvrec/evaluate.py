@@ -6,12 +6,14 @@ relevant-item specialization 1/log2(rank + 1). Reports carry the seed and
 a config fingerprint so numbers stay attributable to a run.
 
 Leave-one-out (`evaluate`), cold-start (`evaluate_cold`) and the training
-loop's validation share one per-case score function: one
-`predict.score_candidates` call per case over all its candidates, with the
-user's posterior (or, for a cold user, its side-information prior) and rows
-of one all-items posterior pass (a cold target item takes its prior). Noise
-is keyed by (seed, side, entity id), so a case scores the same alone or in
-any batch, and each case is ranked once.
+loop's validation score all their cases in one `predict.score_cases` call.
+Each case has its user's posterior (or, for a cold user, its side-information
+prior); the item table is one all-items posterior pass, plus one row per cold
+target item carrying its prior. That call works item-major in blocks bounded
+by `predict.CASE_ROWS`, `ITEM_ROWS` and `SLOT_ROWS`: an item's samples and
+first-layer half are computed once per block of cases, however many cases
+share the item. Noise is keyed by (seed, side, entity id), so a case scores
+the same alone or in any batch, and each case is ranked once.
 """
 
 from __future__ import annotations
@@ -108,50 +110,57 @@ def case_candidates(case: EvalCase) -> np.ndarray:
     return np.concatenate([[case.target], case.negatives]).astype(np.int64)
 
 
-def _case_ranks(cases: list[EvalCase], score_fn) -> list[int]:
-    """Rank of each case's target under score_fn(case), in case order."""
+def _case_ranks(cases: list[EvalCase], scores) -> list[int]:
+    """Rank of each case's target under its scores, in case order."""
     return [
-        predict.rank_of_target(case_candidates(c), score_fn(c), c.target) for c in cases
+        predict.rank_of_target(case_candidates(c), s, c.target)
+        for c, s in zip(cases, scores)
     ]
 
 
 def evaluate_ranker(cases: list[EvalCase], score_fn, ks=DEFAULT_KS, seed: int = 0,
                     fingerprint: str = "") -> MetricReport:
     """Generic protocol runner: score_fn(case) -> scores for target+negatives."""
-    return _aggregate(_case_ranks(cases, score_fn), ks, seed, fingerprint)
+    return _aggregate(_case_ranks(cases, map(score_fn, cases)), ks, seed, fingerprint)
 
 
-def _case_scorer(model: ModelParams, train: InteractionMatrix, side: SideInfo,
-                 n_samples: int, seed: int, split: ColdSplit | None = None):
-    """score_fn(case) for leave-one-out and cold-start cases alike.
+def _score_cases(model: ModelParams, train: InteractionMatrix, side: SideInfo,
+                 cases: list[EvalCase], n_samples: int, seed: int,
+                 split: ColdSplit | None = None) -> list[np.ndarray]:
+    """Scores of every case's target and negatives, in one `score_cases` call.
 
-    Item Gaussians are rows of one all-items posterior pass shared across
-    cases. The cold side of a cold case of `split` takes its
-    side-information prior instead: the user's, or the synthetic target
-    item's (its negatives stay on their warm posteriors).
+    The item table holds one all-items posterior pass. The cold side of a
+    cold case of `split` takes its side-information prior instead: the
+    user's, or the synthetic target item's, which is one more table row keyed
+    by its id (the negatives stay on their warm posteriors).
     """
-    all_items_mean, all_items_lv = predict.item_posterior(
-        model, train, side, np.arange(train.n_items)
-    )
-
-    def score_fn(case: EvalCase) -> np.ndarray:
-        cands = case_candidates(case)
+    if not cases:
+        return []
+    item_mean, item_lv = predict.item_posterior(model, train, side,
+                                                np.arange(train.n_items))
+    keys, means, lvs = list(range(train.n_items)), [item_mean], [item_lv]
+    u_means, u_lvs, case_rows = [], [], []
+    for case in cases:
         cold = split.mode if split is not None and case.cold else None
         if cold == "user":
             u_mean, u_lv = predict.user_prior_params(model, split.feature_row(side, case))
         else:
             u_mean, u_lv = predict.user_posterior(model, train, side, case.user)
+        u_means.append(u_mean)
+        u_lvs.append(u_lv)
+        rows = case_candidates(case)
         if cold == "item":
             t_mean, t_lv = predict.item_prior_params(model, split.feature_row(side, case))
-            v_means = np.vstack([t_mean, all_items_mean[case.negatives]])
-            v_lvs = np.vstack([t_lv, all_items_lv[case.negatives]])
-        else:
-            v_means, v_lvs = all_items_mean[cands], all_items_lv[cands]
-        return predict.score_candidates(
-            model, cands, u_mean, u_lv, v_means, v_lvs, n_samples, seed, case.user
-        )
-
-    return score_fn
+            rows[0] = len(keys)
+            keys.append(case.target)
+            means.append(t_mean)
+            lvs.append(t_lv)
+        case_rows.append(rows)
+    return predict.score_cases(
+        model, np.array(keys), np.vstack(means), np.vstack(lvs),
+        np.vstack(u_means), np.vstack(u_lvs), [c.user for c in cases], case_rows,
+        n_samples, seed,
+    )
 
 
 def evaluate(model: ModelParams, dataset: Dataset, ks=DEFAULT_KS,
@@ -162,16 +171,16 @@ def evaluate(model: ModelParams, dataset: Dataset, ks=DEFAULT_KS,
     """Leave-one-out evaluation of a trained model."""
     cases = dataset.eval_cases if cases is None else cases
     train = dataset.train if train is None else train
-    fn = _case_scorer(model, train, dataset.side, n_samples, seed)
-    return evaluate_ranker(cases, fn, ks, seed, fingerprint)
+    scores = _score_cases(model, train, dataset.side, cases, n_samples, seed)
+    return _aggregate(_case_ranks(cases, scores), ks, seed, fingerprint)
 
 
 def validation_hr_ndcg(model: ModelParams, train: InteractionMatrix, side: SideInfo,
                        cases: list[EvalCase], k: int = 5, n_samples: int = 32,
                        seed: int = 0) -> tuple[float, float]:
     """Lightweight HR@k/NDCG@k used by the training loop."""
-    fn = _case_scorer(model, train, side, n_samples, seed)
-    report = evaluate_ranker(cases, fn, ks=(k,), seed=seed)
+    scores = _score_cases(model, train, side, cases, n_samples, seed)
+    report = _aggregate(_case_ranks(cases, scores), (k,), seed, "")
     return report.hr[k], report.ndcg[k]
 
 
@@ -189,8 +198,8 @@ def evaluate_cold(model: ModelParams, dataset: Dataset, split: ColdSplit,
     if mode != split.mode:
         raise ValueError(f"split was built for mode={split.mode!r}, got {mode!r}")
     cases = split.test_cases
-    fn = _case_scorer(model, split.train, dataset.side, n_samples, seed, split)
-    ranks = _case_ranks(cases, fn)
+    scores = _score_cases(model, split.train, dataset.side, cases, n_samples, seed, split)
+    ranks = _case_ranks(cases, scores)
     cold = [r for r, c in zip(ranks, cases) if c.cold]
     warm = [r for r, c in zip(ranks, cases) if not c.cold]
     report = _aggregate(cold or ranks, ks, seed, fingerprint)

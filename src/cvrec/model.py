@@ -123,16 +123,18 @@ class SigmoidNet:
     def in_dim(self) -> int:
         return self.layers_list[0].in_dim
 
-    def forward(self, x) -> Node:
+    def forward(self, x, start: int = 0) -> Node:
+        """Output for input x; with `start`, x is the activation entering
+        layer `start` and the layers before it are skipped."""
         h = x
-        for layer in self.layers_list[:-1]:
+        for layer in self.layers_list[start:-1]:
             h = ad.relu(ad.affine(h, layer))
         return ad.sigmoid(ad.affine(h, self.layers_list[-1]))
 
-    def forward_values(self, x) -> np.ndarray:
+    def forward_values(self, x, start: int = 0) -> np.ndarray:
         """`forward` without graph recording; returns the output array."""
         with ad.no_grad():
-            return SigmoidNet.forward(self, x).value
+            return SigmoidNet.forward(self, x, start).value
 
     def layers(self) -> dict[str, LayerParams]:
         return {f"layer{i}": l for i, l in enumerate(self.layers_list)}

@@ -1,17 +1,31 @@
 """Monte Carlo predictive scoring, one path for warm and cold entities.
 
 A score is a predicted interaction probability: the mean over S paired
-samples of the interaction net's output. `score_candidates` is the only
-function that draws samples and runs the interaction net. It takes one
-user Gaussian and one Gaussian per candidate item, wherever they came
-from: a warm entity's comes from its posterior (`user_posterior`,
-`item_posterior`), and a cold entity, which has no feedback history,
-takes its side-information prior (`user_prior_params`,
+samples of the interaction net's output. `score_cases` is the only function
+that draws samples and runs the interaction net; `score_candidates` is its
+one-case call. Each case is one user Gaussian scored against rows of an item
+table of Gaussians, wherever they came from: a warm entity's comes from its
+posterior (`user_posterior`, `item_posterior`), and a cold entity, which has
+no feedback history, takes its side-information prior (`user_prior_params`,
 `item_prior_params`), or N(0, I) when that prior is disabled.
 
-Noise streams are keyed by (seed, side, entity id): the user key and the
-candidate ids. That makes every score deterministic for a fixed seed and
-independent of evaluation order or batching.
+The work is item-major. The interaction net's first layer is affine in the
+pair [u, v], so with its weight split by columns, W = [W_u | W_v], the
+pre-activation is (u W_u^T + b) + v W_v^T. Within a block of cases each table
+row that a case uses draws its S samples and computes v W_v^T once, each case
+computes u W_u^T + b once, and a (case, candidate) slot costs only the add,
+the ReLU and the layers above the first, which run through the net's own
+forward. Blocks are bounded in sample rows (S rows per case, item or slot):
+CASE_ROWS for the user halves held at once, ITEM_ROWS for the item halves and
+SLOT_ROWS for the slots pushed through the upper layers at once. Peak scoring
+memory is therefore fixed by these constants and the layer widths; it does
+not grow with the number of candidates or cases. The blocks run with one
+BLAS thread (`blas.single_thread`): their many small products gain little
+from a second thread and stall whenever the host takes either core away.
+
+Noise streams are keyed by (seed, side, entity id): the user keys and the
+item table's keys. That makes every score deterministic for a fixed seed and
+independent of evaluation order, batching and blocking.
 """
 
 from __future__ import annotations
@@ -19,6 +33,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
+from . import blas
 from .data import InteractionMatrix, SideInfo
 from .model import ModelParams, inference_input
 
@@ -26,6 +41,13 @@ DEFAULT_SAMPLES = 128
 
 _USER_STREAM = 0xA5
 _ITEM_STREAM = 0x5A
+
+# Block bounds of `score_cases` in sample rows (see the module docstring).
+# Smaller item and slot blocks stay in cache; on 2 cores, 2^11-2^13 rows ran
+# within noise of each other at eval and predict shapes.
+CASE_ROWS = 1 << 16
+ITEM_ROWS = 1 << 12
+SLOT_ROWS = 1 << 11
 
 
 def _noise(seed: int, stream: int, key: int, n: int, dim: int) -> np.ndarray:
@@ -36,7 +58,10 @@ def _noise(seed: int, stream: int, key: int, n: int, dim: int) -> np.ndarray:
 
 
 def _draw(mean: np.ndarray, log_var: np.ndarray, eps: np.ndarray) -> np.ndarray:
-    return mean + np.exp(0.5 * log_var) * eps
+    """mean + exp(log_var / 2) * eps, written over eps."""
+    eps *= np.exp(0.5 * log_var)
+    eps += mean
+    return eps
 
 
 def _check_ids(ids: np.ndarray, n: int, kind: str) -> None:
@@ -94,27 +119,77 @@ def item_prior_params(model: ModelParams, features) -> tuple[np.ndarray, np.ndar
                          d.item_feat_dim, features, "item")
 
 
-def score_candidates(model: ModelParams, candidates, u_mean, u_lv,
-                     v_means, v_lvs, n_samples: int, seed: int,
-                     user_key: int) -> np.ndarray:
-    """Scores of one user against a candidate set.
+def score_cases(model: ModelParams, item_keys, v_means, v_lvs, u_means, u_lvs,
+                user_keys, case_rows, n_samples: int, seed: int) -> list[np.ndarray]:
+    """Scores of a block of cases against one shared item table.
 
-    `v_means`/`v_lvs` are aligned with `candidates`, whose ids are also the
-    item noise keys; `user_key` keys the user noise. Sample s of the user
-    is paired with sample s of each candidate.
+    Row r of the table is the item Gaussian (`v_means[r]`, `v_lvs[r]`), whose
+    noise is keyed by `item_keys[r]`. Case c is the user Gaussian
+    (`u_means[c]`, `u_lvs[c]`) keyed by `user_keys[c]`, scored against the
+    table rows `case_rows[c]`; its scores align with those rows. Sample s of
+    the user is paired with sample s of each item.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     d = model.dims.latent_dim
-    n_cand = len(candidates)
-    u = _draw(u_mean, u_lv, _noise(seed, _USER_STREAM, user_key, n_samples, d))
-    v_all = np.empty((n_cand, n_samples, d))
-    for c, item in enumerate(candidates):
-        v_all[c] = _draw(v_means[[c]], v_lvs[[c]],
-                         _noise(seed, _ITEM_STREAM, int(item), n_samples, d))
-    pairs = np.hstack([np.tile(u, (n_cand, 1)), v_all.reshape(n_cand * n_samples, d)])
-    probs = model.interact.forward_values(pairs)[:, 0].reshape(n_cand, n_samples)
-    return probs.mean(axis=1)
+    first = model.interact.layers_list[0]
+    w_u, w_v = first.weight.value[:, :d].T, first.weight.value[:, d:].T
+    width = first.out_dim
+    lengths = np.array([len(rows) for rows in case_rows], dtype=np.int64)
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
+    scores = np.empty(offsets[-1])
+    cases_per_block = max(1, CASE_ROWS // n_samples)
+    items_per_block = max(1, ITEM_ROWS // n_samples)
+    slots_per_block = max(1, SLOT_ROWS // n_samples)
+    with blas.single_thread():
+        for c0 in range(0, len(case_rows), cases_per_block):
+            c1 = min(c0 + cases_per_block, len(case_rows))
+            # user half of the first layer, bias included, one case at a time
+            uw = np.empty((c1 - c0, n_samples, width))
+            for c in range(c0, c1):
+                u = _draw(u_means[c], u_lvs[c],
+                          _noise(seed, _USER_STREAM, user_keys[c], n_samples, d))
+                np.matmul(u, w_u, out=uw[c - c0])
+                uw[c - c0] += first.bias.value
+            slot_case = np.repeat(np.arange(c1 - c0), lengths[c0:c1])
+            slot_row = np.concatenate(case_rows[c0:c1]).astype(np.int64, copy=False)
+            # item-major: the slots of one item are contiguous in `order`
+            order = np.argsort(slot_row, kind="stable")
+            items, item_start, slot_item = np.unique(
+                slot_row[order], return_index=True, return_inverse=True
+            )
+            item_start = np.append(item_start, len(order))
+            for i0 in range(0, len(items), items_per_block):
+                i1 = min(i0 + items_per_block, len(items))
+                rows = items[i0:i1]
+                v = np.empty((i1 - i0, n_samples, d))
+                for k, r in enumerate(rows):
+                    v[k] = _noise(seed, _ITEM_STREAM, item_keys[r], n_samples, d)
+                _draw(v_means[rows, None], v_lvs[rows, None], v)
+                # item half of the first layer, once per item and sample
+                vw = (v.reshape(-1, d) @ w_v).reshape(i1 - i0, n_samples, width)
+                del v
+                for j0 in range(item_start[i0], item_start[i1], slots_per_block):
+                    j1 = min(j0 + slots_per_block, item_start[i1])
+                    slots = order[j0:j1]
+                    h = uw[slot_case[slots]]
+                    h += vw[slot_item[j0:j1] - i0]
+                    np.maximum(h, 0.0, out=h)
+                    probs = model.interact.forward_values(h.reshape(-1, width), start=1)
+                    scores[offsets[c0] + slots] = probs.reshape(j1 - j0, n_samples).mean(axis=1)
+    return [scores[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])]
+
+
+def score_candidates(model: ModelParams, candidates, u_mean, u_lv,
+                     v_means, v_lvs, n_samples: int, seed: int,
+                     user_key: int) -> np.ndarray:
+    """Scores of one user against a candidate set: `score_cases` for one case.
+
+    `v_means`/`v_lvs` are aligned with `candidates`, whose ids are also the
+    item noise keys; `user_key` keys the user noise.
+    """
+    return score_cases(model, candidates, v_means, v_lvs, u_mean, u_lv, [user_key],
+                       [np.arange(len(candidates))], n_samples, seed)[0]
 
 
 def order_by_score(candidates, scores) -> list[tuple[int, float]]:

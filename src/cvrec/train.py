@@ -228,8 +228,10 @@ def _snapshot(model: mdl.ModelParams) -> dict[str, np.ndarray]:
 
 
 def _restore(model: mdl.ModelParams, snap: dict[str, np.ndarray]) -> None:
+    """Make the snapshot's arrays the parameter values, without copying:
+    every caller ends `fit` right after, so the snapshot is not reused."""
     for k, v in model.named_parameters().items():
-        v.value = snap[k].copy(order="K")
+        v.value = snap[k]
 
 
 def fit(dataset: Dataset, config: TrainConfig,
@@ -285,8 +287,8 @@ def fit(dataset: Dataset, config: TrainConfig,
 
     iters_per_epoch = max(1, int(np.ceil(train.n_positives / config.batch_positives)))
     history: list[dict] = []
-    best = {"epoch": 0, "hr": -1.0, "snap": _snapshot(model)}
     last_finite = _snapshot(model)
+    best = {"epoch": 0, "hr": -1.0, "snap": last_finite}
     step = 0
 
     from .evaluate import validation_hr_ndcg  # local import to avoid a cycle
@@ -313,6 +315,8 @@ def fit(dataset: Dataset, config: TrainConfig,
             clip_gradients(params, config.grad_clip)
             adam_step(named, opt, config.learning_rate)
             losses[it] = loss.item()
+        # the last step's gradients are not needed for validation or return
+        ad.zero_grads(params)
         last_finite = _snapshot(model)
 
         val_hr, val_ndcg = (np.nan, np.nan)
@@ -333,10 +337,11 @@ def fit(dataset: Dataset, config: TrainConfig,
         if history_path is not None:
             write_history(history, history_path, config.seed)
 
+        # one snapshot per epoch, shared by last_finite and best
         if val_subset and val_hr > best["hr"]:
-            best = {"epoch": epoch, "hr": float(val_hr), "snap": _snapshot(model)}
+            best = {"epoch": epoch, "hr": float(val_hr), "snap": last_finite}
         elif not val_subset:
-            best = {"epoch": epoch, "hr": np.nan, "snap": _snapshot(model)}
+            best = {"epoch": epoch, "hr": np.nan, "snap": last_finite}
         if val_subset and epoch - best["epoch"] >= config.patience:
             log.info("early stop at epoch %d (best epoch %d)", epoch, best["epoch"])
             break

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -162,20 +164,28 @@ class TestEvaluateCold:
 
     @pytest.mark.parametrize("mode", ["user", "item"])
     def test_each_case_scored_once(self, trained_block, monkeypatch, mode):
+        # every case is ranked once, and the call draws each item's noise once
         dataset, result = trained_block
         split = make_cold_split(dataset.interactions, dataset.side, fraction=0.3,
                                 mode=mode, seed=6)
-        calls = []
-        score = predict.score_candidates
+        ranked, item_draws = [], Counter()
+        rank_of_target, noise = predict.rank_of_target, predict._noise
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return score(*args, **kwargs)
+        def counting_rank(*args):
+            ranked.append(1)
+            return rank_of_target(*args)
 
-        monkeypatch.setattr(predict, "score_candidates", counting)
+        def counting_noise(seed, stream, key, n, dim):
+            if stream == predict._ITEM_STREAM:
+                item_draws[key] += 1
+            return noise(seed, stream, key, n, dim)
+
+        monkeypatch.setattr(predict, "rank_of_target", counting_rank)
+        monkeypatch.setattr(predict, "_noise", counting_noise)
         report = ev.evaluate_cold(result.model, dataset, split, mode=mode,
                                   ks=(5,), n_samples=8, seed=7)
-        assert len(calls) == len(split.test_cases)
+        assert len(ranked) == len(split.test_cases)
+        assert set(item_draws.values()) == {1}
         assert report.sections["all"].n_cases == len(split.test_cases)
 
     def test_zero_fraction_report_writes_csv(self, trained_block, tmp_path):

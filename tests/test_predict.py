@@ -1,8 +1,13 @@
+import contextlib
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cvrec import blas
+from cvrec import model as mdl
 from cvrec import predict
 from cvrec.model import VARIANT_FLAGS
 
@@ -153,6 +158,140 @@ class TestScoreCold:
                                          v_means, v_lvs, 64, seed=11, user_key=6)
         singles = [warm_score(model, dataset, 6, int(j), 64, seed=11) for j in candidates]
         np.testing.assert_allclose(batch, singles, atol=1e-12)
+
+
+def concatenated_forward(model, keys, v_means, v_lvs, u_mean, u_lv, user_key,
+                         n_samples, seed):
+    """Scoring without the first-layer split: the user's samples tiled beside
+    every candidate's, one forward of the whole interaction net."""
+    d = model.dims.latent_dim
+    u = u_mean + np.exp(0.5 * u_lv) * predict._noise(
+        seed, predict._USER_STREAM, user_key, n_samples, d)
+    v = np.vstack([
+        v_means[[c]] + np.exp(0.5 * v_lvs[[c]]) * predict._noise(
+            seed, predict._ITEM_STREAM, int(key), n_samples, d)
+        for c, key in enumerate(keys)
+    ])
+    pairs = np.hstack([np.tile(u, (len(keys), 1)), v])
+    probs = model.interact.forward_values(pairs)[:, 0]
+    return probs.reshape(len(keys), n_samples).mean(axis=1)
+
+
+@pytest.fixture
+def mixed_cases(trained_block):
+    """Warm, cold-user and cold-item cases over one item table.
+
+    The table is every item's posterior plus one cold item, a prior keyed by
+    the id n_items; the last user is cold, a prior keyed by the id n_users.
+    Every case has item 7 among its candidates.
+    """
+    dataset, result = trained_block
+    model, train, side = result.model, dataset.train, dataset.side
+    means, lvs = predict.item_posterior(model, train, side, np.arange(train.n_items))
+    cold_mean, cold_lv = predict.item_prior_params(model, side.item_features[[3]])
+    keys = np.arange(train.n_items + 1)
+    means, lvs = np.vstack([means, cold_mean]), np.vstack([lvs, cold_lv])
+    users = [predict.user_posterior(model, train, side, u) for u in (0, 1, 5, 9)]
+    users.append(predict.user_prior_params(model, side.user_features[[4]]))
+    user_keys = [0, 1, 5, 9, train.n_users]
+    rng = np.random.default_rng(0)
+    case_rows = [np.append(rng.choice(np.delete(keys, 7), size=11, replace=False), 7)
+                 for _ in user_keys]
+    case_rows[2][0] = train.n_items
+    return (model, keys, means, lvs, np.vstack([u[0] for u in users]),
+            np.vstack([u[1] for u in users]), user_keys, case_rows)
+
+
+class TestScoreCases:
+    def test_case_alone_bit_equals_case_in_block(self, mixed_cases, monkeypatch):
+        model, keys, means, lvs, u_means, u_lvs, user_keys, case_rows = mixed_cases
+        alone = [
+            predict.score_cases(model, keys, means, lvs, u_means[[c]], u_lvs[[c]],
+                                [user_keys[c]], [rows], 16, 3)[0]
+            for c, rows in enumerate(case_rows)
+        ]
+        single = [
+            predict.score_candidates(model, keys[rows], u_means[[c]], u_lvs[[c]],
+                                     means[rows], lvs[rows], 16, 3, user_keys[c])
+            for c, rows in enumerate(case_rows)
+        ]
+        # several case, item and slot blocks in the multi-case call
+        monkeypatch.setattr(predict, "CASE_ROWS", 2 * 16)
+        monkeypatch.setattr(predict, "ITEM_ROWS", 4 * 16)
+        monkeypatch.setattr(predict, "SLOT_ROWS", 3 * 16)
+        together = predict.score_cases(model, keys, means, lvs, u_means, u_lvs,
+                                       user_keys, case_rows, 16, 3)
+        assert len(np.unique(np.concatenate(case_rows))) > 4
+        for c in range(len(case_rows)):
+            np.testing.assert_array_equal(alone[c], together[c])
+            np.testing.assert_array_equal(single[c], together[c])
+
+    def test_matches_concatenated_forward(self, mixed_cases):
+        model, keys, means, lvs, u_means, u_lvs, user_keys, case_rows = mixed_cases
+        together = predict.score_cases(model, keys, means, lvs, u_means, u_lvs,
+                                       user_keys, case_rows, 16, 3)
+        for c, rows in enumerate(case_rows):
+            want = concatenated_forward(model, keys[rows], means[rows], lvs[rows],
+                                        u_means[[c]], u_lvs[[c]], user_keys[c], 16, 3)
+            np.testing.assert_allclose(together[c], want, rtol=0, atol=1e-12)
+
+    def test_peak_memory_bounded_in_candidates(self):
+        dims = mdl.ModelDims(2, 2, 2, 2, latent_dim=64, prior_hidden=2,
+                             inference_hidden=(2, 2), decoder_hidden=(2, 2))
+        model = mdl.build_model(dims, np.random.default_rng(0))
+        n_samples, width = 64, model.interact.layers_list[0].out_dim
+        rng = np.random.default_rng(1)
+        u_mean, u_lv = rng.normal(size=(1, 64)), rng.normal(-2, 1, size=(1, 64))
+        peaks = {}
+        for n in (500, 4000):
+            v_means, v_lvs = rng.normal(size=(n, 64)), rng.normal(-2, 1, size=(n, 64))
+            tracemalloc.start()
+            try:
+                predict.score_candidates(model, np.arange(n), u_mean, u_lv, v_means,
+                                         v_lvs, n_samples, 0, 0)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # one candidate's first hidden layer alone takes S x width floats
+        grown_per_candidate = (peaks[4000] - peaks[500]) / 3500
+        assert grown_per_candidate < 0.05 * n_samples * width * 8
+
+    def test_blas_thread_count_leaves_scores_unchanged(self, monkeypatch):
+        # products large enough for OpenBLAS to split them across threads
+        dims = mdl.ModelDims(2, 2, 2, 2, latent_dim=64, prior_hidden=2,
+                             inference_hidden=(2, 2), decoder_hidden=(2, 2))
+        model = mdl.build_model(dims, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        u_mean, u_lv = rng.normal(size=(1, 64)), rng.normal(-2, 1, size=(1, 64))
+        v_means, v_lvs = rng.normal(size=(300, 64)), rng.normal(-2, 1, size=(300, 64))
+        args = (model, np.arange(300), u_mean, u_lv, v_means, v_lvs, 64, 0, 0)
+        one_thread = predict.score_candidates(*args)
+        monkeypatch.setattr(blas, "single_thread", contextlib.nullcontext)
+        np.testing.assert_array_equal(predict.score_candidates(*args), one_thread)
+
+
+class TestSingleThread:
+    @pytest.fixture
+    def openblas(self):
+        fns = blas._openblas()
+        if fns is None:
+            pytest.skip("numpy's BLAS is not a bundled OpenBLAS")
+        return fns
+
+    def test_one_thread_inside_and_count_restored(self, openblas):
+        get, _ = openblas
+        before = get()
+        with blas.single_thread():
+            assert get() == 1
+        assert get() == before
+
+    def test_count_restored_after_exception(self, openblas):
+        get, _ = openblas
+        before = get()
+        with pytest.raises(RuntimeError):
+            with blas.single_thread():
+                raise RuntimeError
+        assert get() == before
 
 
 class TestRank:

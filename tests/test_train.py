@@ -263,6 +263,20 @@ class TestFit:
         assert result.best_val_hr == max(hrs)
         assert result.history[result.best_epoch - 1]["val_hr5"] == max(hrs)
 
+    def test_returns_best_epoch_parameters_without_gradients(self):
+        # bit for bit the best epoch's parameters: a run stopped at that epoch
+        # without validation (so its last epoch is its best) ends on them
+        dataset = block_dataset(seed=23)
+        config = small_config(max_epochs=12, patience=3, val_users=10, seed=4)
+        result = tr.fit(dataset, config)
+        assert result.best_epoch < len(result.history)
+        short = tr.fit(dataset, small_config(max_epochs=result.best_epoch, val_users=0,
+                                             seed=4))
+        want = short.model.named_parameters()
+        for name, p in result.model.named_parameters().items():
+            np.testing.assert_array_equal(p.value, want[name].value)
+            assert p.grad is None
+
     def test_divergence_raises_with_step(self):
         dataset = block_dataset(seed=24)
         config = small_config(max_epochs=2, seed=5)
