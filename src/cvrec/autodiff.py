@@ -20,7 +20,7 @@ row in `affine` is the one exception), sparse gradients, and anything GPU.
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -29,8 +29,6 @@ from scipy.special import expit
 # exp() clamps its input to this range, keeping exp(x) within [3e-7, 3.3e6];
 # unbounded log-variances otherwise let early training diverge.
 EXP_CLAMP = 15.0
-
-_FD_EPS = 1e-8  # denominator guard in relative errors
 
 _recording = True  # False inside no_grad()
 
@@ -371,31 +369,3 @@ def backward(loss: Node) -> None:
 def zero_grads(params: Iterable[Node]) -> None:
     for p in params:
         p.grad = None
-
-
-def finite_diff_check(f: Callable[[], Node], params: Sequence[Node],
-                      h: float = 1e-5) -> float:
-    """Compare analytic gradients of the scalar f() against central differences.
-
-    Returns max over every parameter entry of |analytic - numeric| /
-    (|numeric| + 1e-8). f must be deterministic (freeze any noise).
-    """
-    zero_grads(params)
-    backward(f())
-    analytic = [
-        p.grad.copy() if p.grad is not None else np.zeros_like(p.value) for p in params
-    ]
-    worst = 0.0
-    for p, a in zip(params, analytic):
-        # index 2-D directly: parameter arrays may be C- or F-ordered
-        for idx in np.ndindex(p.value.shape):
-            orig = p.value[idx]
-            p.value[idx] = orig + h
-            up = f().item()
-            p.value[idx] = orig - h
-            down = f().item()
-            p.value[idx] = orig
-            numeric = (up - down) / (2.0 * h)
-            worst = max(worst, abs(a[idx] - numeric) / (abs(numeric) + _FD_EPS))
-    zero_grads(params)
-    return worst

@@ -1,6 +1,10 @@
 """Command-line surface: prepare, train, evaluate, eval-cold, predict,
 ablate, and sweep.
 
+`ablate` (each prior variant and seed) and `sweep` (a grid over neg_ratio or
+latent_dim) fit and evaluate each config in turn on one loaded dataset; a sweep
+point with an invalid value or a diverged fit becomes a `failed:` row.
+
 Exit codes: 0 success, 2 usage or validation error, 3 numerical failure
 (diverged training), 4 I/O failure (missing or malformed files). Logs go
 to stderr; tabular results to stdout or --out as CSV with a header row.
@@ -10,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import logging
 import os
 import sys
@@ -176,6 +179,9 @@ def cmd_predict(args) -> int:
         if len(bad):
             log.error("--items id %d out of range [0, %d)", bad[0], dataset.n_items)
             return EXIT_USAGE
+        if len(np.unique(candidates)) < len(candidates):
+            log.error("--items repeats an id: %s", args.items)
+            return EXIT_USAGE
     else:
         candidates = np.setdiff1d(np.arange(dataset.n_items),
                                   dataset.train.user_items[args.user])
@@ -184,93 +190,86 @@ def cmd_predict(args) -> int:
                        n_samples=args.samples, seed=args.seed)
     if args.topk:
         ranked = ranked[:args.topk]
-    lines = ["user,item,score,rank"]
-    lines += [f"{args.user},{item},{score:.6f},{r}"
-              for r, (item, score) in enumerate(ranked, start=1)]
-    text = "\n".join(lines)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-        print(f"predictions written to {args.out}")
+    _write_csv(["user", "item", "score", "rank"],
+               [[args.user, item, f"{score:.6f}", r]
+                for r, (item, score) in enumerate(ranked, start=1)],
+               args.out, "predictions")
+    return EXIT_OK
+
+
+def _experiment_inputs(args):
+    """Checked cutoffs, base config and dataset of `ablate` and `sweep`."""
+    ks = _parse_ks(args.k)
+    if args.samples < 1:
+        raise ValueError(f"--samples must be >= 1, got {args.samples}")
+    return ks, _load_config(args.config), dat.load_dataset(args.data)
+
+
+def _metric_header(ks) -> list[str]:
+    return [f"hr@{k}" for k in ks] + [f"ndcg@{k}" for k in ks]
+
+
+def _fit_and_evaluate(dataset, config, ks, n_samples) -> list[str]:
+    """Train one config on the leave-one-out split; its hr@k and ndcg@k cells."""
+    result = tr.fit(dataset, config)
+    report = ev.evaluate(result.model, dataset, ks=ks, n_samples=n_samples,
+                         seed=config.seed, fingerprint=config.fingerprint())
+    cells = [f"{report.hr[k]:.6f}" for k in ks] + [f"{report.ndcg[k]:.6f}" for k in ks]
+    log.info("%s seed %d: %s", config.variant, config.seed, ",".join(cells))
+    return cells
+
+
+def _write_csv(header, rows, out, what: str) -> None:
+    """Write the table to `out` and say so on stdout, or print it."""
+    text = "\n".join(",".join(map(str, row)) for row in [header, *rows])
+    if out:
+        Path(out).write_text(text + "\n")
+        print(f"{what} written to {out}")
     else:
         print(text)
-    return EXIT_OK
 
 
 def cmd_ablate(args) -> int:
-    ks = _parse_ks(args.k)
-    dataset = dat.load_dataset(args.data)
-    config = _load_config(args.config)
+    ks, config, dataset = _experiment_inputs(args)
     seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [config.seed]
-    rows = ev.compare_ablations(dataset, config, seeds=seeds, ks=ks,
-                                n_samples=args.samples)
-    header = ["variant", "seed"] + [f"hr@{k}" for k in ks] + [f"ndcg@{k}" for k in ks]
-    lines = [",".join(header)]
-    for r in rows:
-        lines.append(",".join(
-            [r["variant"], str(r["seed"])]
-            + [f"{r[f'hr@{k}']:.6f}" for k in ks]
-            + [f"{r[f'ndcg@{k}']:.6f}" for k in ks]
-        ))
-    text = "\n".join(lines)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-        print(f"ablation table written to {args.out}")
-    else:
-        print(text)
+    rows = []
+    for seed in seeds:
+        for variant, (use_u, use_v) in mdl.VARIANT_FLAGS.items():
+            point = dataclasses.replace(config, seed=seed, use_user_prior=use_u,
+                                        use_item_prior=use_v)
+            cells = _fit_and_evaluate(dataset, point, ks, args.samples)
+            rows.append([variant, seed, *cells])
+    _write_csv(["variant", "seed", *_metric_header(ks)], rows, args.out,
+               "ablation table")
     return EXIT_OK
 
 
-def _sweep_one(payload):
-    """Train+evaluate one sweep point; runs in a worker process."""
-    data_path, config_dict, param, value, ks, samples = payload
+def _sweep_cells(dataset, config, field, value, ks, n_samples) -> list[str]:
+    """Status and metric cells of one grid point. Only an invalid value or a
+    diverged fit makes a failed row; any other error ends the sweep."""
     try:
-        dataset = dat.load_dataset(data_path)
-        raw = dict(config_dict)
-        if param == "neg_ratio":
-            raw["neg_ratio"] = int(value)
-        else:
-            raw["latent_dim"] = int(value)
-        config = tr.TrainConfig.from_dict(raw)
-        result = tr.fit(dataset, config)
-        report = ev.evaluate(result.model, dataset, ks=ks, n_samples=samples,
-                             seed=config.seed,
-                             fingerprint=config.fingerprint())
-        row = {"param": param, "value": value, "seed": config.seed, "status": "ok"}
-        for k in ks:
-            row[f"hr@{k}"] = f"{report.hr[k]:.6f}"
-            row[f"ndcg@{k}"] = f"{report.ndcg[k]:.6f}"
-        return row
-    except Exception as exc:  # sweep keeps going; the row records the failure
-        return {"param": param, "value": value, "seed": config_dict.get("seed", ""),
-                "status": f"failed: {exc}"}
+        point = dataclasses.replace(config, **{field: value})
+    except ValueError as exc:
+        failure = exc
+    else:
+        try:
+            return ["ok", *_fit_and_evaluate(dataset, point, ks, n_samples)]
+        except tr.TrainingDiverged as exc:
+            failure = exc
+    return [f"failed: {failure}"] + [""] * (2 * len(ks))
 
 
 def cmd_sweep(args) -> int:
-    ks = _parse_ks(args.k)
-    config = _load_config(args.config)
-    raw = json.loads(config.to_json())
-    if args.seed is not None:
-        raw["seed"] = args.seed
     values = [int(v) for v in args.values.split(",")]
-    payloads = [(args.data, raw, args.param, v, ks, args.samples) for v in values]
-    if args.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_sweep_one, payloads))
-    else:
-        rows = [_sweep_one(p) for p in payloads]
-    header = (["param", "value", "seed", "status"]
-              + [f"hr@{k}" for k in ks] + [f"ndcg@{k}" for k in ks])
-    lines = [",".join(header)]
-    for r in rows:
-        lines.append(",".join(str(r.get(h, "")) for h in header))
-    text = "\n".join(lines)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-        print(f"sweep results written to {args.out}")
-    else:
-        print(text)
+    ks, config, dataset = _experiment_inputs(args)
+    if args.seed is not None:
+        config = dataclasses.replace(config, seed=args.seed)
+    field = "latent_dim" if args.param == "dim" else "neg_ratio"
+    rows = [[args.param, value, config.seed,
+             *_sweep_cells(dataset, config, field, value, ks, args.samples)]
+            for value in values]
+    _write_csv(["param", "value", "seed", "status", *_metric_header(ks)], rows,
+               args.out, "sweep results")
     return EXIT_OK
 
 
@@ -351,7 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(fn=cmd_ablate)
 
-    p = sub.add_parser("sweep", help="train/evaluate over a hyper-parameter grid")
+    p = sub.add_parser("sweep", help="train and evaluate each grid value in turn; "
+                       "an invalid value or a diverged fit is a failed row")
     p.add_argument("--data", required=True)
     p.add_argument("--param", choices=("neg_ratio", "dim"), required=True)
     p.add_argument("--values", required=True,
@@ -360,8 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--k", default="5,10")
     p.add_argument("--samples", type=int, default=128)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel training processes (default 1)")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_sweep)
     return parser

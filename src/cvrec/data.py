@@ -14,6 +14,8 @@ from __future__ import annotations
 import json
 import logging
 import re
+import zipfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -744,19 +746,42 @@ def save_dataset(dataset: Dataset, path) -> None:
         np.savez_compressed(fh, **arrays)
 
 
-def load_dataset(path) -> Dataset:
+@contextmanager
+def open_archive(path, magic: str, version: int, kind: str):
+    """Yield the JSON header and the arrays of an .npz file this package wrote.
+
+    Raises DataError for a missing or unreadable file, one that is not an
+    .npz archive, a missing `__meta__` header, the wrong magic or version,
+    and an array the caller reads but the archive lacks.
+    """
     path = Path(path)
     if not path.exists():
-        raise DataError(f"dataset cache not found: {path}")
-    with np.load(path) as data:
+        raise DataError(f"{kind} not found: {path}")
+    try:
+        archive = np.load(path)
+    except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
+        raise DataError(f"{path}: not a {kind} (unreadable or not an .npz "
+                        f"archive)") from exc
+    if not isinstance(archive, np.lib.npyio.NpzFile):
+        raise DataError(f"{path}: not a {kind} (not an .npz archive)")
+    with archive:
         try:
-            meta = json.loads(bytes(data["__meta__"]).decode())
+            meta = json.loads(bytes(archive["__meta__"]).decode())
+        except (KeyError, ValueError) as exc:
+            raise DataError(f"{path}: not a {kind} (no readable __meta__ "
+                            f"header)") from exc
+        if not isinstance(meta, dict) or meta.get("magic") != magic:
+            raise DataError(f"{path}: not a {kind}")
+        if meta.get("version") != version:
+            raise DataError(f"{path}: unsupported {kind} version {meta.get('version')}")
+        try:
+            yield meta, archive
         except KeyError as exc:
-            raise DataError(f"{path}: not a dataset cache") from exc
-        if meta.get("magic") != CACHE_MAGIC:
-            raise DataError(f"{path}: not a dataset cache")
-        if meta.get("version") != CACHE_VERSION:
-            raise DataError(f"{path}: unsupported cache version {meta.get('version')}")
+            raise DataError(f"{path}: malformed {kind}: {exc.args[0]}") from exc
+
+
+def load_dataset(path) -> Dataset:
+    with open_archive(path, CACHE_MAGIC, CACHE_VERSION, "dataset cache") as (meta, data):
         m, n = meta["n_users"], meta["n_items"]
         interactions = InteractionMatrix.from_pairs(
             m, n, data["inter_users"], data["inter_items"], data["inter_ts"]

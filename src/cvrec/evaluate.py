@@ -18,17 +18,13 @@ the same alone or in any batch, and each case is ranked once.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from . import predict
 from .data import ColdSplit, Dataset, EvalCase, InteractionMatrix, SideInfo
 from .model import ModelParams
-
-log = logging.getLogger(__name__)
 
 DEFAULT_KS = (5, 10)
 
@@ -207,32 +203,3 @@ def evaluate_cold(model: ModelParams, dataset: Dataset, split: ColdSplit,
     if warm:
         report.sections["warm"] = _aggregate(warm, ks, seed, fingerprint)
     return report
-
-
-def compare_ablations(dataset: Dataset, base_config, seeds=None, ks=(10,),
-                      n_samples: int = predict.DEFAULT_SAMPLES) -> list[dict]:
-    """Train and evaluate every prior-ablation variant with shared splits."""
-    import dataclasses
-
-    from .model import VARIANT_FLAGS
-    from .train import fit
-
-    seeds = [base_config.seed] if seeds is None else list(seeds)
-    rows = []
-    for seed in seeds:
-        for variant, (use_u, use_v) in VARIANT_FLAGS.items():
-            config = dataclasses.replace(
-                base_config, seed=seed, use_user_prior=use_u, use_item_prior=use_v
-            )
-            result = fit(dataset, config)
-            report = evaluate(
-                result.model, dataset, ks=ks, n_samples=n_samples, seed=seed,
-                fingerprint=config.fingerprint(),
-            )
-            row = {"variant": variant, "seed": seed}
-            for k in ks:
-                row[f"hr@{k}"] = report.hr[k]
-                row[f"ndcg@{k}"] = report.ndcg[k]
-            rows.append(row)
-            log.info("ablation %s seed %d: %s", variant, seed, row)
-    return rows

@@ -24,6 +24,7 @@ from scipy import sparse
 
 from . import autodiff as ad
 from .autodiff import LayerParams, Node
+from .data import open_archive
 
 LOG_VAR_CLAMP = 15.0
 PROB_EPS = 1e-7
@@ -48,14 +49,6 @@ class DiagGaussian:
 
     mean: Node
     log_var: Node
-
-    @property
-    def batch(self) -> int:
-        return self.mean.value.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.mean.value.shape[1]
 
     @classmethod
     def standard(cls, batch: int, dim: int) -> "DiagGaussian":
@@ -194,10 +187,7 @@ class ModelParams:
 
     @property
     def variant(self) -> str:
-        for name, flags in VARIANT_FLAGS.items():
-            if flags == (self.use_user_prior, self.use_item_prior):
-                return name
-        raise AssertionError("unreachable")
+        return VARIANT_FLAGS_INVERSE[(self.use_user_prior, self.use_item_prior)]
 
 
 def build_model(dims: ModelDims, rng: np.random.Generator,
@@ -411,12 +401,8 @@ def save_checkpoint(model: ModelParams, path, seed: int = 0, step: int = 0,
 
 
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["__meta__"]).decode())
-        if meta.get("magic") != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: not a model checkpoint")
-        if meta.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {meta.get('version')}")
+    with open_archive(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                      "model checkpoint") as (meta, data):
         md = meta["dims"]
         dims = ModelDims(
             n_users=md["n_users"],

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
+from . import evaluate as ev
 from . import model as mdl
 from .data import Dataset, EvalCase, InteractionMatrix, SideInfo, sample_minibatch
 
@@ -291,8 +292,6 @@ def fit(dataset: Dataset, config: TrainConfig,
     best = {"epoch": 0, "hr": -1.0, "snap": last_finite}
     step = 0
 
-    from .evaluate import validation_hr_ndcg  # local import to avoid a cycle
-
     for epoch in range(1, config.max_epochs + 1):
         losses = np.empty(iters_per_epoch)
         for it in range(iters_per_epoch):
@@ -321,7 +320,7 @@ def fit(dataset: Dataset, config: TrainConfig,
 
         val_hr, val_ndcg = (np.nan, np.nan)
         if val_subset:
-            val_hr, val_ndcg = validation_hr_ndcg(
+            val_hr, val_ndcg = ev.validation_hr_ndcg(
                 model, train, dataset.side, val_subset, k=5,
                 n_samples=config.val_samples, seed=val_seed,
             )

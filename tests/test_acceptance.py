@@ -20,9 +20,10 @@ from cvrec import model as mdl
 from cvrec import predict
 from cvrec import train as tr
 from cvrec.data import make_cold_split, sample_minibatch
-from cvrec.synthetic import block_dataset, structural_negatives
+from cvrec.synthetic import block_dataset
 
-from conftest import needs_full_run, needs_ml100k, small_config
+from conftest import (finite_diff_check, needs_full_run, needs_ml100k, small_config,
+                      structural_negatives)
 
 FULL_EPOCHS = int(os.environ.get("CVREC_FULL_EPOCHS", "18"))
 KL_CHUNK = 32_768  # rows of the KL oracle's Monte Carlo sample per pass
@@ -59,7 +60,7 @@ class TestCriterion1Gradients:
         batch = tr.assemble_batch(dataset.train, dataset.side, users, items, labels,
                                   np.random.default_rng(8), k=1,
                                   latent_dim=config.latent_dim)
-        err = ad.finite_diff_check(
+        err = finite_diff_check(
             lambda: mdl.batch_objective(model, batch), model.parameters()
         )
         elapsed = time.time() - t0

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from cvrec import autodiff as ad
 
+from conftest import finite_diff_check
+
 
 def matmul_oracle(x, w, b):
     """Independent triple-loop affine: out[r, o] = sum_k w[o, k] x[r, k] + b[o]."""
@@ -175,7 +177,7 @@ class TestBackward:
             h = ad.relu(ad.affine(ad.constant(x), l1))
             return ad.sum_all(ad.sigmoid(ad.affine(h, l2)))
 
-        assert ad.finite_diff_check(f, params) < 1e-4
+        assert finite_diff_check(f, params) < 1e-4
 
 
 class TestConcatRepeat:
@@ -243,7 +245,7 @@ class TestFiniteDiffCheck:
         def f():
             return ad.mul(w, w)
 
-        assert ad.finite_diff_check(f, [w]) < 1e-6
+        assert finite_diff_check(f, [w]) < 1e-6
 
     def test_constant_function(self):
         w = ad.parameter([[2.0]])
@@ -251,4 +253,4 @@ class TestFiniteDiffCheck:
         def f():
             return ad.constant([[7.0]])
 
-        assert ad.finite_diff_check(f, [w]) == 0.0
+        assert finite_diff_check(f, [w]) == 0.0

@@ -1,9 +1,11 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
 
 from cvrec import cli
+from cvrec import evaluate as ev
 from cvrec import train as tr
 from cvrec.data import load_dataset
 from cvrec.model import load_checkpoint
@@ -61,6 +63,17 @@ def small_config_file(tmp_path):
     }
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
+    return path
+
+
+@pytest.fixture
+def one_epoch_config(tmp_path):
+    path = tmp_path / "one_epoch.json"
+    path.write_text(json.dumps({
+        "batch_positives": 8, "neg_ratio": 2, "max_epochs": 1,
+        "latent_dim": 6, "prior_hidden": 8, "inference_hidden": [10, 8],
+        "decoder_hidden": [8, 10], "val_users": 0,
+    }))
     return path
 
 
@@ -225,17 +238,24 @@ class TestCutoffs:
         assert capsys.readouterr().out == ""
         assert any("--k" in r.message for r in caplog.records)
 
-    @pytest.mark.parametrize("command", [["ablate"],
-                                         ["sweep", "--param", "dim", "--values", "6"]])
-    def test_rejected_before_training(self, cache, command, monkeypatch, caplog,
+    @pytest.mark.parametrize(
+        "command,flag",
+        [(["ablate"], "--k=5,0"),
+         (["sweep", "--param", "dim", "--values", "6"], "--k=5,0"),
+         (["ablate"], "--samples=0"),
+         (["sweep", "--param", "dim", "--values", "6"], "--samples=0")],
+        ids=["command0", "command1", "ablate-samples", "sweep-samples"],
+    )
+    def test_rejected_before_training(self, cache, command, flag, monkeypatch, caplog,
                                       capsys):
         fitted = []
         monkeypatch.setattr(tr, "fit", lambda *args, **kwargs: fitted.append(args))
-        rc = cli.main([*command, "--data", str(cache), "--samples", "8", "--k=5,0"])
+        # the last --samples wins, so "--samples=0" overrides the 8
+        rc = cli.main([*command, "--data", str(cache), "--samples", "8", flag])
         assert rc == 2
         assert not fitted
         assert capsys.readouterr().out == ""
-        assert any("--k" in r.message for r in caplog.records)
+        assert any(flag.split("=")[0] in r.message for r in caplog.records)
 
 
 class TestColdPipeline:
@@ -297,6 +317,13 @@ class TestPredict:
         assert capsys.readouterr().out == ""
         assert any("out of range" in r.message for r in caplog.records)
 
+    def test_repeated_item_id_exit_2(self, cache, checkpoint, caplog, capsys):
+        rc = cli.main(["predict", "--data", str(cache), "--ckpt", str(checkpoint),
+                       "--samples", "8", "--user", "0", "--items", "3,1,3"])
+        assert rc == 2
+        assert capsys.readouterr().out == ""
+        assert any("repeats" in r.message for r in caplog.records)
+
     def test_zero_samples_exit_2(self, cache, checkpoint, caplog, capsys):
         rc = cli.main(["predict", "--data", str(cache), "--ckpt", str(checkpoint),
                        "--user", "0", "--samples", "0"])
@@ -327,6 +354,39 @@ class TestAblate:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "variant,seed,hr@10,ndcg@10"
         assert {l.split(",")[0] for l in lines[1:]} == {"nvh", "nvh-n", "nvh-u", "nvh-i"}
+
+    def test_four_variants_share_splits(self, cache, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "batch_positives": 8, "neg_ratio": 2, "max_epochs": 1,
+            "latent_dim": 6, "prior_hidden": 8, "inference_hidden": [10, 8],
+            "decoder_hidden": [8, 10], "val_users": 0, "seed": 11,
+        }))
+        seen = []
+        real_evaluate = ev.evaluate
+
+        def evaluate(model, dataset, **kwargs):
+            seen.append(dataset)
+            return real_evaluate(model, dataset, **kwargs)
+
+        monkeypatch.setattr(ev, "evaluate", evaluate)
+        rc = cli.main(["ablate", "--data", str(cache), "--config", str(cfg),
+                       "--samples", "8", "--k", "10"])
+        assert rc == 0
+        assert len(seen) == 4 and all(d is seen[0] for d in seen)
+        rows = [l.split(",") for l in capsys.readouterr().out.splitlines()[1:]]
+        assert {r[0] for r in rows} == {"nvh", "nvh-n", "nvh-u", "nvh-i"}
+        assert all(r[1] == "11" for r in rows)
+        assert all(0.0 <= float(x) <= 1.0 for r in rows for x in r[2:])
+
+    def test_each_seed_runs_every_variant(self, cache, one_epoch_config, capsys):
+        rc = cli.main(["ablate", "--data", str(cache), "--config", str(one_epoch_config),
+                       "--seeds", "1,2", "--samples", "8", "--k", "10"])
+        assert rc == 0
+        rows = [l.split(",") for l in capsys.readouterr().out.splitlines()[1:]]
+        assert len(rows) == 8
+        assert {(r[0], r[1]) for r in rows} == {
+            (v, s) for v in ("nvh", "nvh-n", "nvh-u", "nvh-i") for s in ("1", "2")}
 
     def test_diverged_training_exit_3(self, cache, monkeypatch, caplog):
         def diverge(*args, **kwargs):
@@ -366,6 +426,85 @@ class TestSweep:
         lines = capsys.readouterr().out.splitlines()
         assert "failed" in lines[1]
         assert ",ok," in lines[2]
+
+
+    def test_missing_cache_exit_4(self, tmp_path, caplog, capsys):
+        rc = cli.main(["sweep", "--data", str(tmp_path / "missing.npz"), "--param",
+                       "dim", "--values", "4,6", "--samples", "8"])
+        assert rc == 4
+        assert capsys.readouterr().out == ""
+        assert any("not found" in r.message for r in caplog.records)
+
+    def test_diverged_point_marked_and_sweep_continues(self, cache, one_epoch_config,
+                                                       monkeypatch, capsys):
+        real_fit = tr.fit
+
+        def fit(dataset, config):
+            if config.neg_ratio == 2:
+                raise tr.TrainingDiverged(step=2, epoch=1, detail="loss=nan")
+            return real_fit(dataset, config)
+
+        monkeypatch.setattr(tr, "fit", fit)
+        rc = cli.main(["sweep", "--data", str(cache), "--param", "neg_ratio",
+                       "--values", "2,3", "--config", str(one_epoch_config),
+                       "--samples", "8"])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].startswith("neg_ratio,2,")
+        assert ",failed: training diverged at step 2" in lines[1]
+        assert lines[2].startswith("neg_ratio,3,") and ",ok," in lines[2]
+
+    def test_other_errors_end_the_sweep(self, cache, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise RuntimeError("not a training failure")
+
+        monkeypatch.setattr(tr, "fit", fail)
+        with pytest.raises(RuntimeError, match="not a training failure"):
+            cli.main(["sweep", "--data", str(cache), "--param", "dim",
+                      "--values", "4,6", "--samples", "8"])
+        assert capsys.readouterr().out == ""
+
+    def test_jobs_is_not_an_option(self, cache):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", "--data", str(cache), "--param", "dim",
+                      "--values", "4", "--jobs", "2"])
+        assert exc.value.code == 2
+
+
+def _drop_first_parameter(cache, checkpoint, out):
+    with np.load(checkpoint) as data:
+        arrays = dict(data)
+    del arrays[next(name for name in arrays if name != "__meta__")]
+    np.savez(out, **arrays)
+
+
+MALFORMED = {
+    "foreign-npz-as-ckpt": ("--ckpt", lambda cache, ckpt, out: np.savez(out, a=np.ones(3)),
+                            "not a model checkpoint"),
+    "cache-as-ckpt": ("--ckpt", lambda cache, ckpt, out: shutil.copy(cache, out),
+                      "not a model checkpoint"),
+    "ckpt-as-data": ("--data", lambda cache, ckpt, out: shutil.copy(ckpt, out),
+                     "not a dataset cache"),
+    "text-as-data": ("--data", lambda cache, ckpt, out: out.write_text("1,2\n"),
+                     "not a dataset cache"),
+    "text-as-ckpt": ("--ckpt", lambda cache, ckpt, out: out.write_text("1,2\n"),
+                     "not a model checkpoint"),
+    "ckpt-missing-array": ("--ckpt", _drop_first_parameter, "malformed model checkpoint"),
+}
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize("case", list(MALFORMED))
+    def test_exit_4(self, cache, checkpoint, tmp_path, case, caplog, capsys):
+        flag, write, message = MALFORMED[case]
+        bad = tmp_path / "bad.npz"
+        write(cache, checkpoint, bad)
+        # the last --data/--ckpt wins, so the bad file replaces the good one
+        rc = cli.main(["evaluate", "--data", str(cache), "--ckpt", str(checkpoint),
+                       "--samples", "8", flag, str(bad)])
+        assert rc == 4
+        assert capsys.readouterr().out == ""
+        assert any(message in r.message for r in caplog.records)
 
 
 class TestHelp:

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -209,13 +213,10 @@ class TestEvaluateCold:
         assert 0.0 <= report.ndcg[5] <= report.hr[5] <= 1.0
 
 
-class TestCompareAblations:
-    def test_four_variants_share_splits(self, block_data):
-        from conftest import small_config
-
-        rows = ev.compare_ablations(
-            block_data, small_config(max_epochs=4), ks=(10,), n_samples=8
-        )
-        assert {r["variant"] for r in rows} == {"nvh", "nvh-n", "nvh-u", "nvh-i"}
-        assert all(r["seed"] == 11 for r in rows)
-        assert all(0.0 <= r["hr@10"] <= 1.0 for r in rows)
+def test_importing_evaluate_leaves_train_unloaded():
+    """train.fit calls evaluate for validation, so evaluate must not import train."""
+    src = str(Path(ev.__file__).resolve().parents[1])
+    code = "import sys, cvrec.evaluate; sys.exit('cvrec.train' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr

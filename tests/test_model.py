@@ -7,6 +7,9 @@ from scipy import sparse
 
 from cvrec import autodiff as ad
 from cvrec import model as m
+from cvrec.data import DataError
+
+from conftest import finite_diff_check
 
 NETWORKS = ("prior_user", "prior_item", "inf_user", "inf_item",
             "dec_user", "dec_item", "interact")
@@ -200,7 +203,7 @@ class TestKl:
             p = m.DiagGaussian(params[2], ad.clip(params[3], -15, 15))
             return m.kl_diag(q, p)
 
-        assert ad.finite_diff_check(f, params) < 1e-6
+        assert finite_diff_check(f, params) < 1e-6
 
 
 class TestBernoulli:
@@ -261,7 +264,7 @@ class TestObjective:
         model = tiny_model(seed=0)
         batch = random_batch(model, np.random.default_rng(100), n_pairs=3, k=2)
         params = model.parameters()
-        err = ad.finite_diff_check(lambda: m.batch_objective(model, batch), params)
+        err = finite_diff_check(lambda: m.batch_objective(model, batch), params)
         assert err < 1e-4
 
     def test_disabled_priors_ignore_side_info(self):
@@ -385,7 +388,7 @@ class TestCheckpoint:
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.npz"
         np.savez(path, a=np.ones(3))
-        with pytest.raises((ValueError, KeyError)):
+        with pytest.raises(DataError, match="not a model checkpoint"):
             m.load_checkpoint(path)
 
     def test_variant_names(self):

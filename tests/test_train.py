@@ -7,9 +7,9 @@ from cvrec import autodiff as ad
 from cvrec import model as mdl
 from cvrec import train as tr
 from cvrec.data import sample_minibatch
-from cvrec.synthetic import block_dataset, structural_negatives
+from cvrec.synthetic import block_dataset
 
-from conftest import small_config
+from conftest import finite_diff_check, small_config, structural_negatives
 
 
 def make_batch(dataset, config, sample_seed=1, noise_seed=2):
@@ -197,7 +197,7 @@ class TestMinibatchLoss:
                               decoder_hidden=(10, 12))
         model = build_model_for(dataset, config, seed=3)
         batch = make_batch(dataset, config, sample_seed=53, noise_seed=83)
-        err = ad.finite_diff_check(
+        err = finite_diff_check(
             lambda: mdl.batch_objective(model, batch), model.parameters()
         )
         assert err < 1e-4
