@@ -13,6 +13,11 @@ intermediate values are freed as soon as the next op has consumed them.
 Scoring runs the networks' training forward this way instead of keeping a
 second, graph-free copy of each network.
 
+Ops: `affine`, `relu`, `sigmoid`, `exp`, `clip`, `add`, `sub`, `mul`,
+`scale`, `add_scalar`, `sum_all`, `concat_cols` and `repeat_rows`, plus one
+fused loss, `sigmoid_loglik`: the summed Bernoulli log-likelihood of targets
+under the sigmoid of a logits node, computed in logit space as one 1x1 node.
+
 Not supported on purpose: broadcasting beyond the batch dimension (the bias
 row in `affine` is the one exception), sparse gradients, and anything GPU.
 """
@@ -215,16 +220,6 @@ def exp(x: Node) -> Node:
     return Node(v, (x,), "exp", _bw)
 
 
-def log(x: Node) -> Node:
-    """Elementwise natural log; caller guarantees positive inputs (see clip)."""
-    x = _lift(x)
-
-    def _bw(g):
-        _accumulate(x, g / x.value)
-
-    return Node(np.log(x.value), (x,), "log", _bw)
-
-
 def clip(x: Node, lo: float, hi: float) -> Node:
     """Clamp to [lo, hi]; gradient passes through only inside the range."""
     x = _lift(x)
@@ -233,6 +228,42 @@ def clip(x: Node, lo: float, hi: float) -> Node:
         _accumulate(x, g * ((x.value >= lo) & (x.value <= hi)))
 
     return Node(np.clip(x.value, lo, hi), (x,), "clip", _bw)
+
+
+def sigmoid_loglik(z: Node, targets: np.ndarray, bound: float) -> Node:
+    """Summed Bernoulli log-likelihood of `targets` under sigmoid(z), as one
+    1x1 node over the logits z.
+
+    With z clamped to [-bound, bound] it is sum(t * z - softplus(z)), and its
+    adjoint is g * (t - sigmoid(z)) inside the clamp and 0 outside. Forming
+    sigmoid, the clamped log-probabilities and their products as separate
+    nodes would keep about eight temporaries the size of z. softplus(z) is
+    max(z, 0) + log1p(exp(-|z|)): it does not overflow, and a NaN logit gives
+    a NaN sum without a floating-point warning.
+    """
+    z = _lift(z)
+    if targets.shape != z.value.shape:
+        raise ValueError(
+            f"sigmoid_loglik: targets {targets.shape} vs logits {z.value.shape}"
+        )
+    zc = np.clip(z.value, -bound, bound)
+    tz = np.vdot(targets, zc)
+    log_tail = np.abs(zc)  # becomes log1p(exp(-|zc|))
+    np.negative(log_tail, out=log_tail)
+    np.exp(log_tail, out=log_tail)
+    np.log1p(log_tail, out=log_tail)
+    np.maximum(zc, 0.0, out=zc)
+    value = tz - zc.sum() - log_tail.sum()
+
+    def _bw(g):
+        x = z.value
+        resid = expit(np.clip(x, -bound, bound))
+        np.subtract(targets, resid, out=resid)
+        resid *= g[0, 0]
+        np.copyto(resid, 0.0, where=np.abs(x) > bound)
+        _accumulate(z, resid, own=True)
+
+    return Node(np.array([[value]]), (z,), "sigmoid_loglik", _bw)
 
 
 def _check_same_shape(a: Node, b: Node, op: str) -> None:

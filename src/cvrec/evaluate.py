@@ -7,13 +7,16 @@ a config fingerprint so numbers stay attributable to a run.
 
 Leave-one-out (`evaluate`), cold-start (`evaluate_cold`) and the training
 loop's validation score all their cases in one `predict.score_cases` call.
-Each case has its user's posterior (or, for a cold user, its side-information
-prior); the item table is one all-items posterior pass, plus one row per cold
-target item carrying its prior. That call works item-major in blocks bounded
-by `predict.CASE_ROWS`, `ITEM_ROWS` and `SLOT_ROWS`: an item's samples and
+Each case has its user's posterior, from one pass over the users of all
+warm-user cases (or, for a cold user, its side-information prior); the item
+table is one all-items posterior pass, plus one row per cold target item
+carrying its prior. That call works item-major in blocks bounded by
+`predict.CASE_ROWS`, `ITEM_ROWS` and `SLOT_ROWS`: an item's samples and
 first-layer half are computed once per block of cases, however many cases
-share the item. Noise is keyed by (seed, side, entity id), so a case scores
-the same alone or in any batch, and each case is ranked once.
+share the item. Noise is keyed by (seed, side, entity id), so given its
+Gaussians a case scores the same alone or in any batch (the batched posterior
+passes may move the Gaussians themselves by rounding), and each case is
+ranked once.
 """
 
 from __future__ import annotations
@@ -125,7 +128,8 @@ def _score_cases(model: ModelParams, train: InteractionMatrix, side: SideInfo,
                  split: ColdSplit | None = None) -> list[np.ndarray]:
     """Scores of every case's target and negatives, in one `score_cases` call.
 
-    The item table holds one all-items posterior pass. The cold side of a
+    The item table holds one all-items posterior pass, and the users of the
+    warm-user cases take one posterior pass between them. The cold side of a
     cold case of `split` takes its side-information prior instead: the
     user's, or the synthetic target item's, which is one more table row keyed
     by its id (the negatives stay on their warm posteriors).
@@ -135,15 +139,18 @@ def _score_cases(model: ModelParams, train: InteractionMatrix, side: SideInfo,
     item_mean, item_lv = predict.item_posterior(model, train, side,
                                                 np.arange(train.n_items))
     keys, means, lvs = list(range(train.n_items)), [item_mean], [item_lv]
-    u_means, u_lvs, case_rows = [], [], []
-    for case in cases:
-        cold = split.mode if split is not None and case.cold else None
+    cold_mode = [split.mode if split is not None and c.cold else None for c in cases]
+    warm = [i for i, mode in enumerate(cold_mode) if mode != "user"]
+    u_means = np.empty((len(cases), model.dims.latent_dim))
+    u_lvs = np.empty_like(u_means)
+    if warm:
+        u_means[warm], u_lvs[warm] = predict.user_posterior(
+            model, train, side, [cases[i].user for i in warm])
+    case_rows = []
+    for i, (case, cold) in enumerate(zip(cases, cold_mode)):
         if cold == "user":
-            u_mean, u_lv = predict.user_prior_params(model, split.feature_row(side, case))
-        else:
-            u_mean, u_lv = predict.user_posterior(model, train, side, case.user)
-        u_means.append(u_mean)
-        u_lvs.append(u_lv)
+            u_means[i], u_lvs[i] = predict.user_prior_params(
+                model, split.feature_row(side, case))
         rows = case_candidates(case)
         if cold == "item":
             t_mean, t_lv = predict.item_prior_params(model, split.feature_row(side, case))
@@ -154,7 +161,7 @@ def _score_cases(model: ModelParams, train: InteractionMatrix, side: SideInfo,
         case_rows.append(rows)
     return predict.score_cases(
         model, np.array(keys), np.vstack(means), np.vstack(lvs),
-        np.vstack(u_means), np.vstack(u_lvs), [c.user for c in cases], case_rows,
+        u_means, u_lvs, [c.user for c in cases], case_rows,
         n_samples, seed,
     )
 

@@ -4,7 +4,9 @@ Seven small MLPs make up the model: two side-information prior networks
 (one hidden layer each), two inference networks over concatenated side
 info + feedback row (two hidden layers), two row/column decoders (two
 hidden layers, sigmoid output), and one interaction net scoring a
-(user, item) latent pair. Latent factors are never stored: they exist
+(user, item) latent pair. The sigmoid networks' graph `forward` stops at the
+logits, which the loss consumes directly; `forward_values` applies the
+sigmoid and returns probabilities. Latent factors are never stored: they exist
 only as reparameterized samples from diagonal Gaussians.
 
 Disabling a side's prior (the nvh-n / nvh-u / nvh-i variants) replaces
@@ -27,7 +29,10 @@ from .autodiff import LayerParams, Node
 from .data import open_archive
 
 LOG_VAR_CLAMP = 15.0
+# Bernoulli probabilities are kept within [PROB_EPS, 1 - PROB_EPS]; the loss
+# clamps logits to the matching +-LOGIT_CLAMP (about 16.1)
 PROB_EPS = 1e-7
+LOGIT_CLAMP = float(np.log((1.0 - PROB_EPS) / PROB_EPS))
 
 CHECKPOINT_MAGIC = "cvrec-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -103,7 +108,11 @@ class GaussianNet:
 
 
 class SigmoidNet:
-    """ReLU trunk with a sigmoid output layer (decoders, interaction net)."""
+    """ReLU trunk with a sigmoid output layer (decoders, interaction net).
+
+    `forward` returns the logits node, on which `bernoulli_loglik` works;
+    `forward_values` returns the probabilities.
+    """
 
     def __init__(self, in_dim: int, hidden: tuple[int, ...], out_dim: int,
                  rng: np.random.Generator):
@@ -117,17 +126,17 @@ class SigmoidNet:
         return self.layers_list[0].in_dim
 
     def forward(self, x, start: int = 0) -> Node:
-        """Output for input x; with `start`, x is the activation entering
+        """Logits for input x; with `start`, x is the activation entering
         layer `start` and the layers before it are skipped."""
         h = x
         for layer in self.layers_list[start:-1]:
             h = ad.relu(ad.affine(h, layer))
-        return ad.sigmoid(ad.affine(h, self.layers_list[-1]))
+        return ad.affine(h, self.layers_list[-1])
 
     def forward_values(self, x, start: int = 0) -> np.ndarray:
-        """`forward` without graph recording; returns the output array."""
+        """Sigmoid of `forward`, without graph recording, as an array."""
         with ad.no_grad():
-            return SigmoidNet.forward(self, x, start).value
+            return ad.sigmoid(SigmoidNet.forward(self, x, start)).value
 
     def layers(self) -> dict[str, LayerParams]:
         return {f"layer{i}": l for i, l in enumerate(self.layers_list)}
@@ -285,17 +294,20 @@ def kl_diag(q: DiagGaussian, p: DiagGaussian) -> Node:
     return ad.scale(ad.sum_all(per_dim), 0.5)
 
 
-def bernoulli_loglik(targets, probs: Node) -> Node:
-    """sum targets*log(p) + (1-targets)*log(1-p), probs clamped to [1e-7, 1-1e-7]."""
+def bernoulli_loglik(targets, logits: Node) -> Node:
+    """sum targets*log(p) + (1-targets)*log(1-p) with p = sigmoid(logits).
+
+    Computed in logit space as one node (`autodiff.sigmoid_loglik`), as
+    Mult-VAE does (Liang et al., arXiv 1802.05814). Logits are clamped to
+    +-LOGIT_CLAMP, which keeps p within [PROB_EPS, 1 - PROB_EPS]; beyond the
+    clamp the gradient is zero.
+    """
     t = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-    if t.shape != probs.value.shape:
+    if t.shape != logits.value.shape:
         raise ValueError(
-            f"bernoulli_loglik: targets {t.shape} vs probs {probs.value.shape}"
+            f"bernoulli_loglik: targets {t.shape} vs logits {logits.value.shape}"
         )
-    pc = ad.clip(probs, PROB_EPS, 1.0 - PROB_EPS)
-    pos = ad.mul(ad.log(pc), ad.constant(t))
-    neg = ad.mul(ad.log(ad.sub(ad.constant(np.ones_like(t)), pc)), ad.constant(1.0 - t))
-    return ad.sum_all(ad.add(pos, neg))
+    return ad.sigmoid_loglik(logits, t, LOGIT_CLAMP)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,17 @@ negatives), builds the batched objective, backpropagates, clips the global
 gradient norm, and applies a bias-corrected adaptive-moment update. An
 epoch is ceil(n_positives / batch_positives) iterations; validation HR@5
 on a subsample of the eval cases drives early stopping.
+
+The update moves more memory than it computes: the default model has about
+4M float64 parameters, and each step reads every gradient and reads and
+writes every parameter and both moments. So clipping only computes a factor,
+which `adam_step` folds into its moment updates, and `adam_step` makes all of
+its passes over one block of ADAM_BLOCK elements of a tensor, while the block
+is in cache, before it moves to the next. Measured over the default model's
+46 tensors on a 2-core Xeon with 2 MB of L2 cache per core: 42-44 ms per
+clip and update with a full pass per operation, 38-39 ms with one block per
+tensor, and 28-29 ms with blocks of 2^14 elements (2^12: 32-35 ms; 2^15 and
+2^16 within noise of 2^14).
 """
 
 from __future__ import annotations
@@ -24,6 +35,11 @@ from .data import Dataset, EvalCase, InteractionMatrix, SideInfo, sample_minibat
 
 log = logging.getLogger(__name__)
 
+# Elements per block of `adam_step`: four float64 blocks (parameter,
+# gradient, both moments) plus one scratch block make 640 KB, within L2.
+ADAM_BLOCK = 1 << 14
+
+
 class TrainingDiverged(RuntimeError):
     """Raised on non-finite loss; carries the last finite parameters."""
 
@@ -39,7 +55,12 @@ class TrainingDiverged(RuntimeError):
 @dataclass
 class TrainConfig:
     """Hyper-parameters; defaults follow the reference setup (D=128,
-    neg_ratio=5, total minibatch 21 * (1 + 5) = 126 ~ 128 pairs)."""
+    neg_ratio=5, total minibatch 21 * (1 + 5) = 126 ~ 128 pairs).
+
+    `learning_rate` must be finite and positive. `grad_clip` is the bound on
+    the global gradient norm; it must be finite, and `grad_clip <= 0`
+    disables clipping.
+    """
 
     batch_positives: int = 21
     neg_ratio: int = 5
@@ -63,8 +84,12 @@ class TrainConfig:
             raise ValueError("batch_positives must be >= 1")
         if self.neg_ratio < 0:
             raise ValueError("neg_ratio must be >= 0")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and > 0, got "
+                             f"{self.learning_rate}")
+        if not np.isfinite(self.grad_clip):
+            raise ValueError(f"grad_clip must be finite (<= 0 disables clipping), "
+                             f"got {self.grad_clip}")
         for name in ("latent_dim", "mc_samples", "val_samples"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -125,63 +150,87 @@ class AdamState:
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
-    _scratch: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-def adam_step(named_params: dict[str, ad.Node], state: AdamState, lr: float) -> None:
-    """Bias-corrected adaptive-moment update, in place; missing gradients
-    (parameters off the current graph) are treated as zero and skipped.
+def adam_step(named_params: dict[str, ad.Node], state: AdamState, lr: float,
+              grad_scale: float = 1.0) -> None:
+    """Bias-corrected adaptive-moment update of each parameter on its
+    gradient times `grad_scale`, in place; missing gradients (parameters off
+    the current graph) are treated as zero and skipped.
 
-    Equivalent to the textbook m-hat/v-hat form, with the corrections folded
-    into the step size and written through scratch buffers: several million
-    parameters are touched per step, so temporaries dominate otherwise.
+    Equivalent to the textbook m-hat/v-hat form on the scaled gradient c*g:
+    `m` takes c*g and `v` takes c^2*g^2, so clipping (`clip_gradients`)
+    costs no pass of its own, and the bias corrections are folded into the
+    step size. Each tensor is updated in blocks of ADAM_BLOCK elements, all
+    passes over one block before the next, because a full pass per operation
+    streams every tensor through main memory about a dozen times per step
+    (timings in the module docstring). Blocks follow the parameter's memory
+    order, C or Fortran, so parameter and moments are updated through views;
+    a gradient in the other order is read in the parameter's order.
     """
     state.step += 1
     t = state.step
     correction2 = np.sqrt(1 - state.beta2 ** t)
     step_size = lr * correction2 / (1 - state.beta1 ** t)
     denom_eps = state.eps * correction2
+    beta1, beta2 = state.beta1, state.beta2
+    scale1 = (1 - beta1) * grad_scale
+    scale2 = (1 - beta2) * grad_scale * grad_scale
+    block = ADAM_BLOCK
+    scratch = np.empty(block)
     for name, p in named_params.items():
         g = p.grad
         if g is None:
             continue
-        if g.shape != p.value.shape:
+        value = p.value
+        if g.shape != value.shape:
             raise ValueError(f"adam_step: gradient shape {g.shape} vs value "
-                             f"{p.value.shape} for {name}")
+                             f"{value.shape} for {name}")
+        if value.flags.c_contiguous:
+            order = "C"
+        elif value.flags.f_contiguous:
+            order = "F"
+        else:
+            raise ValueError(f"adam_step: value of {name} is not contiguous")
         if name not in state.m:
-            state.m[name] = np.zeros_like(p.value)
-            state.v[name] = np.zeros_like(p.value)
-            state._scratch[name] = np.empty_like(p.value)
-        m = state.m[name]
-        v = state.v[name]
-        s = state._scratch[name]
-        np.multiply(g, g, out=s)
-        s *= 1 - state.beta2
-        v *= state.beta2
-        v += s
-        np.multiply(g, 1 - state.beta1, out=s)
-        m *= state.beta1
-        m += s
-        np.sqrt(v, out=s)
-        s += denom_eps
-        np.divide(m, s, out=s)
-        s *= step_size
-        p.value -= s
+            state.m[name] = np.zeros_like(value)
+            state.v[name] = np.zeros_like(value)
+        # moments follow the parameter's order, so their ravels are views
+        m = state.m[name] = np.asarray(state.m[name], order=order)
+        v = state.v[name] = np.asarray(state.v[name], order=order)
+        flat_p, flat_m, flat_v = value.ravel(order), m.ravel(order), v.ravel(order)
+        flat_g = g.ravel(order)
+        for lo in range(0, flat_p.size, block):
+            hi = lo + block
+            gb, mb, vb = flat_g[lo:hi], flat_m[lo:hi], flat_v[lo:hi]
+            s = scratch[:len(gb)]
+            np.multiply(gb, gb, out=s)
+            s *= scale2
+            vb *= beta2
+            vb += s
+            np.multiply(gb, scale1, out=s)
+            mb *= beta1
+            mb += s
+            np.sqrt(vb, out=s)
+            s += denom_eps
+            np.divide(mb, s, out=s)
+            s *= step_size
+            flat_p[lo:hi] -= s
 
 
 def clip_gradients(params, max_norm: float) -> float:
-    """Scale all gradients so their global L2 norm is at most max_norm."""
+    """Factor min(1, max_norm / norm) that bounds the global L2 norm of the
+    gradients by max_norm; 1 when max_norm <= 0. The gradients are left as
+    they are: `adam_step` applies the factor as its `grad_scale`."""
     total = 0.0
-    grads = [p.grad for p in params if p.grad is not None]
-    for g in grads:
-        flat = g.reshape(-1)
-        total += float(np.dot(flat, flat))
+    for p in params:
+        if p.grad is not None:
+            flat = p.grad.ravel(order="K")  # a view in either memory order
+            total += float(np.dot(flat, flat))
     norm = float(np.sqrt(total))
     if max_norm > 0 and norm > max_norm:
-        factor = max_norm / norm
-        for g in grads:
-            g *= factor
-    return norm
+        return max_norm / norm
+    return 1.0
 
 
 def assemble_batch(train: InteractionMatrix, side: SideInfo, users, items, labels,
@@ -311,8 +360,8 @@ def fit(dataset: Dataset, config: TrainConfig,
                 )
             ad.zero_grads(params)
             ad.backward(loss)
-            clip_gradients(params, config.grad_clip)
-            adam_step(named, opt, config.learning_rate)
+            factor = clip_gradients(params, config.grad_clip)
+            adam_step(named, opt, config.learning_rate, grad_scale=factor)
             losses[it] = loss.item()
         # the last step's gradients are not needed for validation or return
         ad.zero_grads(params)

@@ -187,6 +187,24 @@ class TestTrain:
         assert not ckpt.exists()
         assert any(key in r.message for r in caplog.records)
 
+    @pytest.mark.parametrize("key,value", [("learning_rate", float("nan")),
+                                           ("learning_rate", float("inf")),
+                                           ("grad_clip", float("nan"))])
+    def test_non_finite_config_value_exit_2(self, cache, small_config_file, tmp_path,
+                                            key, value, monkeypatch, caplog):
+        # json writes NaN and Infinity, and json.load reads them back
+        fitted = []
+        monkeypatch.setattr(tr, "fit", lambda *args, **kwargs: fitted.append(args))
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({**json.loads(small_config_file.read_text()),
+                                   key: value}))
+        ckpt = tmp_path / "m.npz"
+        rc = cli.main(["train", "--data", str(cache), "--config", str(cfg),
+                       "--out", str(ckpt)])
+        assert rc == 2
+        assert not fitted and not ckpt.exists()
+        assert any(key in r.message for r in caplog.records)
+
 
 class TestEvaluate:
     def test_prints_table_and_csv(self, cache, checkpoint, tmp_path, capsys):

@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scipy import sparse
+from scipy.special import expit, logit
 
 from cvrec import autodiff as ad
 from cvrec import model as m
@@ -135,7 +138,10 @@ class TestInfer:
         if fmt == "csr":
             x = sparse.csr_array(x)
         graph = net.forward(x)
-        want = graph.values() if isinstance(graph, m.DiagGaussian) else (graph.value,)
+        if isinstance(graph, m.DiagGaussian):
+            want = graph.values()
+        else:  # a sigmoid net's graph forward stops at the logits
+            want = (expit(graph.value),)
         got = net.forward_values(x)
         got = got if isinstance(got, tuple) else (got,)
         assert len(got) == len(want)
@@ -208,28 +214,68 @@ class TestKl:
 
 class TestBernoulli:
     def test_half_probability(self):
-        ll = m.bernoulli_loglik([[1.0]], ad.constant([[0.5]]))
+        # logit 0 is probability 0.5
+        ll = m.bernoulli_loglik([[1.0]], ad.constant([[0.0]]))
         assert ll.item() == pytest.approx(np.log(0.5), abs=1e-12)
 
     def test_perfect_prediction_near_zero(self):
+        # a perfect prediction sits at the clamp: p = 1 - 1e-7 per entry
         t = np.array([[1.0, 0.0, 1.0]])
-        ll = m.bernoulli_loglik(t, ad.constant(t))  # clamped at 1e-7
-        assert abs(ll.item()) < 1e-6
+        for z in (2 * t - 1) * m.LOGIT_CLAMP, (2 * t - 1) * 100.0:
+            ll = m.bernoulli_loglik(t, ad.constant(z))
+            assert ll.item() == pytest.approx(3 * np.log1p(-m.PROB_EPS), rel=1e-6)
+            assert abs(ll.item()) < 1e-6
 
     def test_vector_decomposes_into_scalars(self):
         rng = np.random.default_rng(14)
         t = rng.integers(0, 2, (1, 8)).astype(float)
-        p = rng.uniform(0.05, 0.95, (1, 8))
-        whole = m.bernoulli_loglik(t, ad.constant(p)).item()
+        z = logit(rng.uniform(0.05, 0.95, (1, 8)))
+        whole = m.bernoulli_loglik(t, ad.constant(z)).item()
         parts = sum(
-            m.bernoulli_loglik([[t[0, i]]], ad.constant([[p[0, i]]])).item()
+            m.bernoulli_loglik([[t[0, i]]], ad.constant([[z[0, i]]])).item()
             for i in range(8)
         )
         assert whole == pytest.approx(parts, abs=1e-10)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="bernoulli"):
-            m.bernoulli_loglik([[1.0, 0.0]], ad.constant([[0.5]]))
+            m.bernoulli_loglik([[1.0, 0.0]], ad.constant([[0.0]]))
+
+    @pytest.mark.parametrize("binary", [True, False])
+    def test_matches_probability_form(self, binary):
+        rng = np.random.default_rng(31)
+        z = rng.uniform(-12.0, 12.0, (5, 7))
+        t = (rng.integers(0, 2, z.shape).astype(float) if binary
+             else rng.uniform(0.0, 1.0, z.shape))
+        p = expit(z)
+        want = (t * np.log(p) + (1 - t) * np.log1p(-p)).sum()
+        got = m.bernoulli_loglik(t, ad.constant(z)).item()
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(32)
+        z = ad.parameter(rng.uniform(-6.0, 6.0, (3, 4)))
+        t = rng.integers(0, 2, (3, 4)).astype(float)
+        err = finite_diff_check(lambda: ad.scale(m.bernoulli_loglik(t, z), 1.5), [z])
+        assert err < 1e-6
+
+    def test_gradient_is_residual_inside_clamp_and_zero_beyond(self):
+        t = np.array([[1.0, 0.0, 1.0, 0.0, 1.0, 0.0]])
+        c = m.LOGIT_CLAMP
+        z = ad.parameter([[1.5, -0.5, c + 1e-9, -c - 1e-9, 40.0, -40.0]])
+        ad.backward(m.bernoulli_loglik(t, z))
+        np.testing.assert_array_equal(z.grad[0, 2:], 0.0)
+        np.testing.assert_allclose(z.grad[0, :2], t[0, :2] - expit(z.value[0, :2]),
+                                   rtol=1e-15)
+
+    def test_nan_logits_give_nan_without_warning(self):
+        t = np.array([[1.0, 0.0, 1.0]])
+        z = ad.parameter([[0.3, np.nan, -2.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ll = m.bernoulli_loglik(t, z)
+            ad.backward(ll)
+        assert np.isnan(ll.item())
 
 
 class TestObjective:

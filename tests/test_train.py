@@ -50,6 +50,21 @@ class TestConfig:
         with pytest.raises(ValueError):
             tr.TrainConfig(learning_rate=0.0)
 
+    @pytest.mark.parametrize("key,value", [
+        ("learning_rate", float("nan")), ("learning_rate", float("inf")),
+        ("learning_rate", -float("inf")), ("grad_clip", float("nan")),
+        ("grad_clip", float("inf")), ("grad_clip", -float("inf")),
+    ])
+    def test_non_finite_rate_or_clip_rejected(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            tr.TrainConfig(**{key: value})
+        with pytest.raises(ValueError, match=key):
+            tr.TrainConfig.from_dict({key: value})
+
+    @pytest.mark.parametrize("clip", [0.0, -1.0])
+    def test_non_positive_clip_allowed(self, clip):
+        assert tr.TrainConfig(grad_clip=clip).grad_clip == clip
+
     @pytest.mark.parametrize("key", ["latent_dim", "mc_samples", "val_samples"])
     def test_zero_samples_or_dims_rejected(self, key):
         with pytest.raises(ValueError, match=key):
@@ -121,9 +136,107 @@ class TestAdam:
     def test_gradient_clipping(self):
         p = ad.parameter(np.zeros((1, 2)))
         p.grad = np.array([[3.0, 4.0]])  # norm 5
-        norm = tr.clip_gradients([p], max_norm=1.0)
-        assert norm == pytest.approx(5.0)
-        np.testing.assert_allclose(p.grad, [[0.6, 0.8]])
+        factor = tr.clip_gradients([p], max_norm=1.0)
+        assert factor == pytest.approx(0.2)
+        np.testing.assert_array_equal(p.grad, [[3.0, 4.0]])  # left unscaled
+        # the update on the factor equals Adam on the pre-scaled gradient
+        tr.adam_step({"p": p}, tr.AdamState(), lr=0.01, grad_scale=factor)
+        q = ad.parameter(np.zeros((1, 2)))
+        q.grad = np.array([[0.6, 0.8]])
+        tr.adam_step({"q": q}, tr.AdamState(), lr=0.01)
+        np.testing.assert_allclose(p.value, q.value, rtol=1e-12)
+
+    @pytest.mark.parametrize("max_norm", [0.0, -1.0, 5.0, 100.0])
+    def test_clip_factor_one_when_inactive(self, max_norm):
+        p = ad.parameter(np.zeros((1, 2)))
+        p.grad = np.array([[3.0, 4.0]])
+        assert tr.clip_gradients([p], max_norm=max_norm) == 1.0
+
+
+def adam_tensors(rng):
+    """Parameters in both memory orders, with gradients drawn for 5 steps.
+    The three weights are larger than one block, and the third is F-ordered
+    with C-ordered gradients; the bias row is smaller than one block."""
+    shapes = {"c": ((150, 130), "C", "C"), "f": ((170, 120), "F", "F"),
+              "f_c_grad": ((140, 160), "F", "C"), "bias": ((1, 300), "C", "C")}
+    values, grads = {}, {}
+    for name, (shape, order, grad_order) in shapes.items():
+        values[name] = np.asarray(rng.normal(size=shape), order=order)
+        grads[name] = [np.asarray(rng.normal(size=shape), order=grad_order)
+                       for _ in range(5)]
+    return values, grads
+
+
+def textbook_adam(values, grads, lr, max_norm, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Clip by the global norm, then the m-hat/v-hat Adam update."""
+    values = {k: v.copy() for k, v in values.items()}
+    m = {k: np.zeros_like(v) for k, v in values.items()}
+    v2 = {k: np.zeros_like(v) for k, v in values.items()}
+    for t in range(1, 6):
+        g = {k: gs[t - 1] for k, gs in grads.items()}
+        norm = np.sqrt(sum((x ** 2).sum() for x in g.values()))
+        c = min(1.0, max_norm / norm)
+        for k in values:
+            gk = c * g[k]
+            m[k] = beta1 * m[k] + (1 - beta1) * gk
+            v2[k] = beta2 * v2[k] + (1 - beta2) * gk ** 2
+            m_hat = m[k] / (1 - beta1 ** t)
+            v_hat = v2[k] / (1 - beta2 ** t)
+            values[k] = values[k] - lr * m_hat / (np.sqrt(v_hat) + eps)
+    return values
+
+
+def fused_adam(values, grads, lr, max_norm):
+    params = {k: ad.parameter(v.copy(order="K")) for k, v in values.items()}
+    arrays = {k: p.value for k, p in params.items()}
+    state = tr.AdamState()
+    for t in range(5):
+        for k, p in params.items():
+            p.grad = grads[k][t].copy(order="K")
+        factor = tr.clip_gradients(list(params.values()), max_norm)
+        tr.adam_step(params, state, lr=lr, grad_scale=factor)
+    for k, p in params.items():
+        assert p.value is arrays[k]  # updated in place, never replaced
+    return {k: p.value for k, p in params.items()}
+
+
+class TestFusedAdam:
+    @pytest.mark.parametrize("max_norm", [10.0, 1e6], ids=["clipped", "unclipped"])
+    def test_matches_textbook_reference(self, max_norm):
+        values, grads = adam_tensors(np.random.default_rng(40))
+        for k in ("c", "f", "f_c_grad"):
+            assert values[k].size > tr.ADAM_BLOCK
+        got = fused_adam(values, grads, 0.01, max_norm)
+        want = textbook_adam(values, grads, 0.01, max_norm)
+        for k in values:
+            np.testing.assert_allclose(got[k], want[k], rtol=1e-12, err_msg=k)
+            assert got[k].flags.f_contiguous == values[k].flags.f_contiguous
+
+    def test_block_size_does_not_change_result(self, monkeypatch):
+        values, grads = adam_tensors(np.random.default_rng(41))
+        results = []
+        for block in (1 << 4, 1 << 14, max(v.size for v in values.values())):
+            monkeypatch.setattr(tr, "ADAM_BLOCK", block)
+            results.append(fused_adam(values, grads, 0.01, 10.0))
+        for other in results[1:]:
+            for k in values:
+                np.testing.assert_array_equal(other[k], results[0][k], err_msg=k)
+
+    def test_missing_gradient_skipped(self):
+        p = ad.parameter(np.ones((2, 3)))
+        q = ad.parameter(np.zeros((1, 3)))
+        q.grad = np.ones((1, 3))
+        state = tr.AdamState()
+        tr.adam_step({"p": p, "q": q}, state, lr=0.1)
+        np.testing.assert_array_equal(p.value, np.ones((2, 3)))
+        assert "p" not in state.m and "q" in state.m
+
+    def test_non_contiguous_value_rejected(self):
+        p = ad.parameter(np.ones((4, 6)))
+        p.value = p.value[:, ::2]
+        p.grad = np.ones((4, 3))
+        with pytest.raises(ValueError, match="contiguous"):
+            tr.adam_step({"p": p}, tr.AdamState(), lr=0.1)
 
 
 class TestMinibatchLoss:
