@@ -145,6 +145,20 @@ class LayerParams:
         b = np.full((1, out_dim), bias_init)
         return cls(parameter(w), parameter(b))
 
+    @classmethod
+    def stored(cls, name: str, weight, bias, in_dim: int, out_dim: int,
+               sparse_input: bool = False) -> "LayerParams":
+        """Layer holding stored arrays, in the memory order `init` gives;
+        `name` labels a shape error."""
+        w = np.asarray(weight, dtype=np.float64)
+        b = np.asarray(bias, dtype=np.float64)
+        if w.shape != (out_dim, in_dim) or b.shape != (1, out_dim):
+            raise ValueError(f"layer {name} has arrays {w.shape} and {b.shape}, "
+                             f"expected {(out_dim, in_dim)} and {(1, out_dim)}")
+        if sparse_input:
+            w = np.asfortranarray(w)
+        return cls(parameter(w), parameter(b))
+
     @property
     def in_dim(self) -> int:
         return self.weight.value.shape[1]

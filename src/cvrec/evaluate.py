@@ -13,7 +13,8 @@ table is one all-items posterior pass, plus one row per cold target item
 carrying its prior. That call works item-major in blocks bounded by
 `predict.CASE_ROWS`, `ITEM_ROWS` and `SLOT_ROWS`: an item's samples and
 first-layer half are computed once per block of cases, however many cases
-share the item. Noise is keyed by (seed, side, entity id), so given its
+share the item, by worker threads while the calling thread scores the
+previous item blocks. Noise is keyed by (seed, side, entity id), so given its
 Gaussians a case scores the same alone or in any batch (the batched posterior
 passes may move the Gaussians themselves by rounding), and each case is
 ranked once.

@@ -26,7 +26,7 @@ from scipy import sparse
 
 from . import autodiff as ad
 from .autodiff import LayerParams, Node
-from .data import open_archive
+from .data import DataError, open_archive
 
 LOG_VAR_CLAMP = 15.0
 # Bernoulli probabilities are kept within [PROB_EPS, 1 - PROB_EPS]; the loss
@@ -72,16 +72,16 @@ class GaussianNet:
     """ReLU trunk with mean and log-variance heads (log-variance clamped)."""
 
     def __init__(self, in_dim: int, hidden: tuple[int, ...], latent_dim: int,
-                 rng: np.random.Generator):
+                 new_layer):
         dims = (in_dim, *hidden)
         # the first trunk layer consumes sparse feature/feedback rows
         self.trunk = [
-            LayerParams.init(dims[i], dims[i + 1], rng, sparse_input=(i == 0))
+            new_layer(f"trunk{i}", dims[i], dims[i + 1], sparse_input=(i == 0))
             for i in range(len(hidden))
         ]
-        self.mean_head = LayerParams.init(dims[-1], latent_dim, rng)
+        self.mean_head = new_layer("mean", dims[-1], latent_dim)
         # start with small variances: exp(-1) ~ 0.37
-        self.log_var_head = LayerParams.init(dims[-1], latent_dim, rng, bias_init=-1.0)
+        self.log_var_head = new_layer("log_var", dims[-1], latent_dim, bias_init=-1.0)
 
     @property
     def in_dim(self) -> int:
@@ -115,10 +115,10 @@ class SigmoidNet:
     """
 
     def __init__(self, in_dim: int, hidden: tuple[int, ...], out_dim: int,
-                 rng: np.random.Generator):
+                 new_layer):
         dims = (in_dim, *hidden, out_dim)
         self.layers_list = [
-            LayerParams.init(dims[i], dims[i + 1], rng) for i in range(len(dims) - 1)
+            new_layer(f"layer{i}", dims[i], dims[i + 1]) for i in range(len(dims) - 1)
         ]
 
     @property
@@ -199,22 +199,40 @@ class ModelParams:
         return VARIANT_FLAGS_INVERSE[(self.use_user_prior, self.use_item_prior)]
 
 
-def build_model(dims: ModelDims, rng: np.random.Generator,
-                use_user_prior: bool = True, use_item_prior: bool = True) -> ModelParams:
+def build_model(dims: ModelDims, rng: np.random.Generator | None,
+                use_user_prior: bool = True, use_item_prior: bool = True,
+                arrays=None) -> ModelParams:
+    """The seven networks for `dims`, their weights drawn from `rng`.
+
+    With `arrays`, a mapping from the names `named_parameters` gives to
+    arrays, each layer holds its stored weight and bias instead (shapes
+    checked) and nothing is drawn, so `rng` may be None.
+    """
     d = dims
+
+    def layers(net: str):
+        def new_layer(name, in_dim, out_dim, bias_init=0.0, sparse_input=False):
+            if arrays is None:
+                return LayerParams.init(in_dim, out_dim, rng, bias_init, sparse_input)
+            key = f"{net}.{name}"
+            return LayerParams.stored(key, arrays[f"{key}.weight"], arrays[f"{key}.bias"],
+                                      in_dim, out_dim, sparse_input)
+        return new_layer
+
     return ModelParams(
         dims=d,
-        prior_user=GaussianNet(d.user_feat_dim, (d.prior_hidden,), d.latent_dim, rng),
-        prior_item=GaussianNet(d.item_feat_dim, (d.prior_hidden,), d.latent_dim, rng),
-        inf_user=GaussianNet(
-            d.user_feat_dim + d.n_items, d.inference_hidden, d.latent_dim, rng
-        ),
-        inf_item=GaussianNet(
-            d.item_feat_dim + d.n_users, d.inference_hidden, d.latent_dim, rng
-        ),
-        dec_user=SigmoidNet(d.latent_dim, d.decoder_hidden, d.n_items, rng),
-        dec_item=SigmoidNet(d.latent_dim, d.decoder_hidden, d.n_users, rng),
-        interact=SigmoidNet(2 * d.latent_dim, d.interaction_hidden(), 1, rng),
+        prior_user=GaussianNet(d.user_feat_dim, (d.prior_hidden,), d.latent_dim,
+                               layers("prior_user")),
+        prior_item=GaussianNet(d.item_feat_dim, (d.prior_hidden,), d.latent_dim,
+                               layers("prior_item")),
+        inf_user=GaussianNet(d.user_feat_dim + d.n_items, d.inference_hidden,
+                             d.latent_dim, layers("inf_user")),
+        inf_item=GaussianNet(d.item_feat_dim + d.n_users, d.inference_hidden,
+                             d.latent_dim, layers("inf_item")),
+        dec_user=SigmoidNet(d.latent_dim, d.decoder_hidden, d.n_items, layers("dec_user")),
+        dec_item=SigmoidNet(d.latent_dim, d.decoder_hidden, d.n_users, layers("dec_item")),
+        interact=SigmoidNet(2 * d.latent_dim, d.interaction_hidden(), 1,
+                            layers("interact")),
         use_user_prior=use_user_prior,
         use_item_prior=use_item_prior,
     )
@@ -426,13 +444,9 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
             inference_hidden=tuple(md["inference_hidden"]),
             decoder_hidden=tuple(md["decoder_hidden"]),
         )
-        model = build_model(
-            dims,
-            np.random.default_rng(0),
-            use_user_prior=meta["use_user_prior"],
-            use_item_prior=meta["use_item_prior"],
-        )
-        for name, node in model.named_parameters().items():
-            # npy round-trips Fortran order; keep each layer's native layout
-            node.value = np.asarray(data[name], dtype=np.float64)
+        try:
+            model = build_model(dims, None, use_user_prior=meta["use_user_prior"],
+                                use_item_prior=meta["use_item_prior"], arrays=data)
+        except ValueError as exc:
+            raise DataError(f"{path}: malformed model checkpoint: {exc}") from exc
     return model, meta

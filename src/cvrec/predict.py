@@ -17,11 +17,30 @@ computes u W_u^T + b once, and a (case, candidate) slot costs only the add,
 the ReLU and the layers above the first, which run through the net's own
 forward. Blocks are bounded in sample rows (S rows per case, item or slot):
 CASE_ROWS for the user halves held at once, ITEM_ROWS for the item halves and
-SLOT_ROWS for the slots pushed through the upper layers at once. Peak scoring
-memory is therefore fixed by these constants and the layer widths; it does
-not grow with the number of candidates or cases. The blocks run with one
-BLAS thread (`blas.single_thread`): their many small products gain little
-from a second thread and stall whenever the host takes either core away.
+SLOT_ROWS for the slots pushed through the upper layers at once.
+
+Scoring runs on every core the process may use. Worker threads, one per
+core, produce the item blocks: each item's noise draw, its samples and its
+half v W_v^T, written into a ring of lookahead = workers + 1 block buffers.
+The calling thread draws the user halves and then consumes the item blocks
+in order: per slot block the gather, the add, the ReLU, the upper layers and
+the writes into the scores; a consumed block's buffer goes to the next block.
+Workers run plain numpy only: they build no autodiff node (whose no-grad
+switch is process-wide), call no public function of this package (a tracer
+that wraps those keeps one span stack) and never write the scores. Each
+item's arithmetic and every block's shape are those of a single-threaded
+run, so the scores do not depend on the number of workers. The pool lives
+for one call, inside `blas.single_thread`, so every thread's products use one
+BLAS thread; an error in any thread ends the call with the pool shut down.
+
+Peak scoring memory is fixed by the block constants and the layer widths, not
+by the number of candidates or cases: the ring holds lookahead x ITEM_ROWS x
+(D + width) x 8 bytes of samples and item halves, 12.6 MB at D = width = 128
+with two workers. On a 2-core KVM guest (Sapphire Rapids, one thread per
+core), against scoring on the calling thread alone, the pipeline cut the
+median time per eval-ml100k case from 38.9 to 25.3 ms and, in a second set,
+from 32.0 to 24.4 ms (10 seeds each), and per one-user all-items predict-ml1m
+call from 3.10 to 2.21 s (5 seeds).
 
 Noise streams are keyed by (seed, side, entity id): the user keys and the
 item table's keys. That makes every score deterministic for a fixed seed and
@@ -29,6 +48,9 @@ independent of evaluation order, batching and blocking.
 """
 
 from __future__ import annotations
+
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy import sparse
@@ -44,9 +66,12 @@ _ITEM_STREAM = 0x5A
 
 # Block bounds of `score_cases` in sample rows (see the module docstring).
 # Smaller item and slot blocks stay in cache; on 2 cores, 2^11-2^13 rows ran
-# within noise of each other at eval and predict shapes.
+# within noise of each other at eval and predict shapes when one thread
+# scored. With the worker pipeline, lookahead item blocks are in flight at
+# once: 2^12 item rows raised eval-ml100k's peak memory by 7-9%, 2^11 kept it
+# level with the single-threaded scoring.
 CASE_ROWS = 1 << 16
-ITEM_ROWS = 1 << 12
+ITEM_ROWS = 1 << 11
 SLOT_ROWS = 1 << 11
 
 
@@ -119,6 +144,23 @@ def item_prior_params(model: ModelParams, features) -> tuple[np.ndarray, np.ndar
                          d.item_feat_dim, features, "item")
 
 
+def _item_half(seed: int, item_keys, v_means, v_lvs, rows, w_v, v, vw) -> np.ndarray:
+    """Samples of the table rows `rows` and their half of the first layer.
+
+    Writes the samples into the ring buffer `v` and v W_v^T into `vw`, and
+    returns the filled part of `vw` as (rows, S, width). Runs on a worker
+    thread, so it uses plain numpy only: no autodiff node, no `scores`.
+    """
+    n, n_samples, d = len(rows), v.shape[1], v.shape[2]
+    v = v[:n]
+    for k, r in enumerate(rows):
+        v[k] = _noise(seed, _ITEM_STREAM, item_keys[r], n_samples, d)
+    _draw(v_means[rows, None], v_lvs[rows, None], v)
+    vw = vw[:n * n_samples]
+    np.matmul(v.reshape(-1, d), w_v, out=vw)
+    return vw.reshape(n, n_samples, -1)
+
+
 def score_cases(model: ModelParams, item_keys, v_means, v_lvs, u_means, u_lvs,
                 user_keys, case_rows, n_samples: int, seed: int) -> list[np.ndarray]:
     """Scores of a block of cases against one shared item table.
@@ -141,16 +183,14 @@ def score_cases(model: ModelParams, item_keys, v_means, v_lvs, u_means, u_lvs,
     cases_per_block = max(1, CASE_ROWS // n_samples)
     items_per_block = max(1, ITEM_ROWS // n_samples)
     slots_per_block = max(1, SLOT_ROWS // n_samples)
-    with blas.single_thread():
+    workers = len(os.sched_getaffinity(0))
+    lookahead = workers + 1
+    ring_items = min(items_per_block, len(item_keys))
+    v_ring = np.empty((lookahead, ring_items, n_samples, d))
+    vw_ring = np.empty((lookahead, ring_items * n_samples, width))
+    with blas.single_thread(), ThreadPoolExecutor(workers) as pool:
         for c0 in range(0, len(case_rows), cases_per_block):
             c1 = min(c0 + cases_per_block, len(case_rows))
-            # user half of the first layer, bias included, one case at a time
-            uw = np.empty((c1 - c0, n_samples, width))
-            for c in range(c0, c1):
-                u = _draw(u_means[c], u_lvs[c],
-                          _noise(seed, _USER_STREAM, user_keys[c], n_samples, d))
-                np.matmul(u, w_u, out=uw[c - c0])
-                uw[c - c0] += first.bias.value
             slot_case = np.repeat(np.arange(c1 - c0), lengths[c0:c1])
             slot_row = np.concatenate(case_rows[c0:c1]).astype(np.int64, copy=False)
             # item-major: the slots of one item are contiguous in `order`
@@ -159,16 +199,27 @@ def score_cases(model: ModelParams, item_keys, v_means, v_lvs, u_means, u_lvs,
                 slot_row[order], return_index=True, return_inverse=True
             )
             item_start = np.append(item_start, len(order))
-            for i0 in range(0, len(items), items_per_block):
-                i1 = min(i0 + items_per_block, len(items))
-                rows = items[i0:i1]
-                v = np.empty((i1 - i0, n_samples, d))
-                for k, r in enumerate(rows):
-                    v[k] = _noise(seed, _ITEM_STREAM, item_keys[r], n_samples, d)
-                _draw(v_means[rows, None], v_lvs[rows, None], v)
-                # item half of the first layer, once per item and sample
-                vw = (v.reshape(-1, d) @ w_v).reshape(i1 - i0, n_samples, width)
-                del v
+            blocks = [items[i:i + items_per_block]
+                      for i in range(0, len(items), items_per_block)]
+
+            def item_half(b):
+                # ring slot b % lookahead is free once block b - lookahead is scored
+                return pool.submit(_item_half, seed, item_keys, v_means, v_lvs, blocks[b],
+                                   w_v, v_ring[b % lookahead], vw_ring[b % lookahead])
+
+            pending = [item_half(b) for b in range(min(lookahead, len(blocks)))]
+            # user half of the first layer, bias included, one case at a time,
+            # while the workers draw the first item blocks
+            uw = np.empty((c1 - c0, n_samples, width))
+            for c in range(c0, c1):
+                u = _draw(u_means[c], u_lvs[c],
+                          _noise(seed, _USER_STREAM, user_keys[c], n_samples, d))
+                np.matmul(u, w_u, out=uw[c - c0])
+                uw[c - c0] += first.bias.value
+            for b, rows in enumerate(blocks):
+                vw = pending[b].result()
+                i0 = b * items_per_block
+                i1 = i0 + len(rows)
                 for j0 in range(item_start[i0], item_start[i1], slots_per_block):
                     j1 = min(j0 + slots_per_block, item_start[i1])
                     slots = order[j0:j1]
@@ -177,6 +228,8 @@ def score_cases(model: ModelParams, item_keys, v_means, v_lvs, u_means, u_lvs,
                     np.maximum(h, 0.0, out=h)
                     probs = model.interact.forward_values(h.reshape(-1, width), start=1)
                     scores[offsets[c0] + slots] = probs.reshape(j1 - j0, n_samples).mean(axis=1)
+                if b + lookahead < len(blocks):
+                    pending.append(item_half(b + lookahead))
     return [scores[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])]
 
 

@@ -59,7 +59,8 @@ class TrainConfig:
 
     `learning_rate` must be finite and positive. `grad_clip` is the bound on
     the global gradient norm; it must be finite, and `grad_clip <= 0`
-    disables clipping.
+    disables clipping. `max_epochs` and `patience` must be at least 1;
+    `val_users == 0` disables validation.
     """
 
     batch_positives: int = 21
@@ -90,9 +91,11 @@ class TrainConfig:
         if not np.isfinite(self.grad_clip):
             raise ValueError(f"grad_clip must be finite (<= 0 disables clipping), "
                              f"got {self.grad_clip}")
-        for name in ("latent_dim", "mc_samples", "val_samples"):
+        for name in ("latent_dim", "mc_samples", "val_samples", "max_epochs", "patience"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.val_users < 0:
+            raise ValueError("val_users must be >= 0 (0 disables validation)")
         self.inference_hidden = tuple(self.inference_hidden)
         self.decoder_hidden = tuple(self.decoder_hidden)
 

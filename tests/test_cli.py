@@ -187,6 +187,23 @@ class TestTrain:
         assert not ckpt.exists()
         assert any(key in r.message for r in caplog.records)
 
+    @pytest.mark.parametrize("key,value", [("max_epochs", 0), ("patience", 0),
+                                           ("val_users", -5)])
+    def test_no_epoch_or_negative_validation_exit_2(self, cache, small_config_file,
+                                                    tmp_path, key, value, monkeypatch,
+                                                    caplog):
+        fitted = []
+        monkeypatch.setattr(tr, "fit", lambda *args, **kwargs: fitted.append(args))
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({**json.loads(small_config_file.read_text()),
+                                   key: value}))
+        ckpt = tmp_path / "m.npz"
+        rc = cli.main(["train", "--data", str(cache), "--config", str(cfg),
+                       "--out", str(ckpt)])
+        assert rc == 2
+        assert not fitted and not ckpt.exists()
+        assert any(key in r.message for r in caplog.records)
+
     @pytest.mark.parametrize("key,value", [("learning_rate", float("nan")),
                                            ("learning_rate", float("inf")),
                                            ("grad_clip", float("nan"))])
@@ -445,6 +462,16 @@ class TestSweep:
         assert "failed" in lines[1]
         assert ",ok," in lines[2]
 
+
+    @pytest.mark.parametrize("key,value", [("max_epochs", 0), ("patience", 0),
+                                           ("val_users", -5)])
+    def test_invalid_point_is_a_failed_row(self, cache, key, value, monkeypatch):
+        fitted = []
+        monkeypatch.setattr(tr, "fit", lambda *args, **kwargs: fitted.append(args))
+        cells = cli._sweep_cells(load_dataset(cache), tr.TrainConfig(), key, value, (5, 10), 8)
+        assert cells[0].startswith("failed: ") and key in cells[0]
+        assert cells[1:] == [""] * 4
+        assert not fitted
 
     def test_missing_cache_exit_4(self, tmp_path, caplog, capsys):
         rc = cli.main(["sweep", "--data", str(tmp_path / "missing.npz"), "--param",

@@ -172,7 +172,8 @@ class TestEvaluateCold:
         dataset, result = trained_block
         split = make_cold_split(dataset.interactions, dataset.side, fraction=0.3,
                                 mode=mode, seed=6)
-        ranked, item_draws = [], Counter()
+        # worker threads draw item noise: list.append is atomic, += is not
+        ranked, item_keys = [], []
         rank_of_target, noise = predict.rank_of_target, predict._noise
 
         def counting_rank(*args):
@@ -181,7 +182,7 @@ class TestEvaluateCold:
 
         def counting_noise(seed, stream, key, n, dim):
             if stream == predict._ITEM_STREAM:
-                item_draws[key] += 1
+                item_keys.append(key)
             return noise(seed, stream, key, n, dim)
 
         monkeypatch.setattr(predict, "rank_of_target", counting_rank)
@@ -189,7 +190,7 @@ class TestEvaluateCold:
         report = ev.evaluate_cold(result.model, dataset, split, mode=mode,
                                   ks=(5,), n_samples=8, seed=7)
         assert len(ranked) == len(split.test_cases)
-        assert set(item_draws.values()) == {1}
+        assert set(Counter(item_keys).values()) == {1}
         assert report.sections["all"].n_cases == len(split.test_cases)
 
     def test_zero_fraction_report_writes_csv(self, trained_block, tmp_path):

@@ -431,6 +431,37 @@ class TestCheckpoint:
         for name, node in model.named_parameters().items():
             np.testing.assert_array_equal(loaded.named_parameters()[name].value, node.value)
 
+    def test_load_keeps_arrays_and_layout_without_drawing(self, tmp_path, monkeypatch):
+        model = tiny_model(seed=41)
+        path = tmp_path / "model.npz"
+        m.save_checkpoint(model, path)
+
+        def no_init(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew a random initialisation")
+
+        # Generator methods cannot be patched; every random weight comes from init
+        monkeypatch.setattr(ad.LayerParams, "init", no_init)
+        loaded, _ = m.load_checkpoint(path)
+        saved = model.named_parameters()
+        assert loaded.named_parameters().keys() == saved.keys()
+        for name, node in loaded.named_parameters().items():
+            np.testing.assert_array_equal(node.value, saved[name].value)
+            assert node.value.dtype == np.float64
+            flags = (node.value.flags.c_contiguous, node.value.flags.f_contiguous)
+            assert flags == (saved[name].value.flags.c_contiguous,
+                             saved[name].value.flags.f_contiguous), name
+        assert not loaded.inf_user.trunk[0].weight.value.flags.c_contiguous
+
+    def test_wrong_shape_is_malformed(self, tmp_path):
+        path = tmp_path / "model.npz"
+        m.save_checkpoint(tiny_model(seed=42), path)
+        with np.load(path) as data:
+            arrays = dict(data)
+        arrays["interact.layer1.weight"] = arrays["interact.layer1.weight"][:, :-1]
+        np.savez(path, **arrays)
+        with pytest.raises(DataError, match="malformed model checkpoint.*interact.layer1"):
+            m.load_checkpoint(path)
+
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.npz"
         np.savez(path, a=np.ones(3))

@@ -1,4 +1,7 @@
 import contextlib
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -7,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvrec import blas
+from cvrec import evaluate as ev
 from cvrec import model as mdl
 from cvrec import predict
+from cvrec.data import make_cold_split
 from cvrec.model import VARIANT_FLAGS
 
 
@@ -202,6 +207,19 @@ def mixed_cases(trained_block):
             np.vstack([u[1] for u in users]), user_keys, case_rows)
 
 
+def small_blocks(monkeypatch):
+    """Block bounds at S=16 that split the mixed cases into several case,
+    item and slot blocks."""
+    monkeypatch.setattr(predict, "CASE_ROWS", 2 * 16)
+    monkeypatch.setattr(predict, "ITEM_ROWS", 4 * 16)
+    monkeypatch.setattr(predict, "SLOT_ROWS", 3 * 16)
+
+
+def set_workers(monkeypatch, n):
+    """`score_cases` starts one worker per core it may run on."""
+    monkeypatch.setattr(predict.os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
 class TestScoreCases:
     def test_case_alone_bit_equals_case_in_block(self, mixed_cases, monkeypatch):
         model, keys, means, lvs, u_means, u_lvs, user_keys, case_rows = mixed_cases
@@ -215,10 +233,7 @@ class TestScoreCases:
                                      means[rows], lvs[rows], 16, 3, user_keys[c])
             for c, rows in enumerate(case_rows)
         ]
-        # several case, item and slot blocks in the multi-case call
-        monkeypatch.setattr(predict, "CASE_ROWS", 2 * 16)
-        monkeypatch.setattr(predict, "ITEM_ROWS", 4 * 16)
-        monkeypatch.setattr(predict, "SLOT_ROWS", 3 * 16)
+        small_blocks(monkeypatch)
         together = predict.score_cases(model, keys, means, lvs, u_means, u_lvs,
                                        user_keys, case_rows, 16, 3)
         assert len(np.unique(np.concatenate(case_rows))) > 4
@@ -268,6 +283,73 @@ class TestScoreCases:
         one_thread = predict.score_candidates(*args)
         monkeypatch.setattr(blas, "single_thread", contextlib.nullcontext)
         np.testing.assert_array_equal(predict.score_candidates(*args), one_thread)
+
+
+class TestPipeline:
+    def test_scores_equal_for_any_worker_count(self, mixed_cases, monkeypatch):
+        # a lost or misordered item block would change some case's scores;
+        # more workers than cores and frequent thread switches shake the order
+        model, keys, means, lvs, u_means, u_lvs, user_keys, case_rows = mixed_cases
+        small_blocks(monkeypatch)
+        args = (model, keys, means, lvs, u_means, u_lvs, user_keys, case_rows, 16, 3)
+        many = 4 * len(os.sched_getaffinity(0))
+        set_workers(monkeypatch, 1)
+        want = predict.score_cases(*args)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for n in (2, many, 2, many):
+                set_workers(monkeypatch, n)
+                for w, g in zip(want, predict.score_cases(*args)):
+                    np.testing.assert_array_equal(w, g)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("stream", [predict._ITEM_STREAM, predict._USER_STREAM],
+                             ids=["worker", "calling-thread"])
+    def test_noise_error_propagates_and_pool_ends(self, mixed_cases, monkeypatch,
+                                                  stream):
+        model, keys, means, lvs, u_means, u_lvs, user_keys, case_rows = mixed_cases
+        small_blocks(monkeypatch)
+        set_workers(monkeypatch, 2)
+        noise = predict._noise
+        bad_key = int(case_rows[3][4]) if stream == predict._ITEM_STREAM else user_keys[3]
+
+        def failing_noise(seed, s, key, n, dim):
+            if s == stream and key == bad_key:
+                raise RuntimeError("noise failed")
+            return noise(seed, s, key, n, dim)
+
+        monkeypatch.setattr(predict, "_noise", failing_noise)
+        fns = blas._openblas()
+        blas_before = fns[0]() if fns is not None else None
+        threads_before = threading.active_count()
+        with pytest.raises(RuntimeError, match="noise failed"):
+            predict.score_cases(model, keys, means, lvs, u_means, u_lvs, user_keys,
+                                case_rows, 16, 3)
+        assert threading.active_count() == threads_before
+        if fns is not None:
+            assert fns[0]() == blas_before
+
+    def test_interaction_net_runs_on_calling_thread(self, trained_block, monkeypatch):
+        # shimmed on the instance, as a tracer wraps it
+        dataset, result = trained_block
+        model = result.model
+        set_workers(monkeypatch, 2)
+        monkeypatch.setattr(predict, "ITEM_ROWS", 2 * 8)
+        forward_values, callers = model.interact.forward_values, []
+
+        def shim(*args, **kwargs):
+            callers.append(threading.get_ident())
+            return forward_values(*args, **kwargs)
+
+        monkeypatch.setattr(model.interact, "forward_values", shim)
+        split = make_cold_split(dataset.interactions, dataset.side, fraction=0.3,
+                                mode="user", seed=6)
+        ev.evaluate(model, dataset, ks=(5,), n_samples=8, seed=1)
+        ev.evaluate_cold(model, dataset, split, mode="user", ks=(5,), n_samples=8,
+                         seed=1)
+        assert callers and set(callers) == {threading.get_ident()}
 
 
 class TestSingleThread:

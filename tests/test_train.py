@@ -72,6 +72,14 @@ class TestConfig:
         with pytest.raises(ValueError, match=key):
             tr.TrainConfig.from_dict({key: -3})
 
+    @pytest.mark.parametrize("key,value", [("max_epochs", 0), ("patience", 0),
+                                           ("val_users", -5)])
+    def test_no_epoch_or_negative_validation_rejected(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            tr.TrainConfig(**{key: value})
+        with pytest.raises(ValueError, match=key):
+            tr.TrainConfig.from_dict({key: value})
+
     def test_partial_dict_falls_back_to_defaults(self, caplog):
         with caplog.at_level("INFO"):
             c = tr.TrainConfig.from_dict({"neg_ratio": 3})
