@@ -34,7 +34,7 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
 
-DATASETS = ("ml-100k", "ml-1m", "lastfm-2k")
+DATASETS = tuple(dat.DATASETS)
 VARIANTS = tuple(mdl.VARIANT_FLAGS)
 
 
@@ -290,7 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="cache file (default: $CVREC_CACHE_DIR/<name>.npz)")
     p.add_argument("--seed", type=int, default=7, help="split seed (default 7)")
     p.add_argument("--threshold", type=float, default=4.0,
-                   help="ratings >= threshold become positives (default 4)")
+                   help="MovieLens only: ratings >= threshold become positives "
+                        "(default 4); Lastfm listens are positives as-is")
     p.add_argument("--negatives", type=int, default=99,
                    help="negatives per eval case (default 99)")
     p.set_defaults(fn=cmd_prepare)

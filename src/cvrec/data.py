@@ -1,9 +1,12 @@
 """Dataset ingestion, feature vectorization, splits, and samplers.
 
-Supported raw datasets: MovieLens-100K (u.data / u.item / u.user),
-MovieLens-1M (ratings.dat / movies.dat / users.dat), and Lastfm-2K
+Raw datasets, one DATASETS entry each: MovieLens-100K (u.data / u.item /
+u.user), MovieLens-1M (ratings.dat / movies.dat / users.dat), and Lastfm-2K
 (user_artists.dat / user_taggedartists.dat / user_friends.dat). Ratings
-binarize at >= 4 (MovieLens); Lastfm listens are positives as-is.
+binarize at >= 4 (MovieLens); Lastfm listens are positives as-is. Every raw
+file is read by `read_rows`: a missing file, a line with too few fields and
+a field that will not convert each raise DataError naming the file (and the
+line), which the CLI reports with exit 4.
 
 Prepared datasets round-trip through a single .npz cache file with a
 versioned JSON header recording the seed that produced the splits.
@@ -15,10 +18,12 @@ import json
 import logging
 import re
 import zipfile
+from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -154,12 +159,15 @@ class SideInfo:
         return self.item_features.shape[1]
 
     def validate(self):
+        """Reject empty or non-finite features; log rows without metadata."""
         if self.user_dim <= 0 or self.item_dim <= 0:
             raise DataError("side-information dimensions must be positive")
-        if not np.isfinite(self.user_features.data).all():
-            raise DataError("non-finite user feature")
-        if not np.isfinite(self.item_features.data).all():
-            raise DataError("non-finite item feature")
+        for kind, mat in (("user", self.user_features), ("item", self.item_features)):
+            if not np.isfinite(mat.data).all():
+                raise DataError(f"non-finite {kind} feature")
+            empty = int((np.diff(mat.indptr) == 0).sum())
+            if empty:
+                log.info("%d %s(s) have no metadata; using zero feature vectors", empty, kind)
         return self
 
 
@@ -239,15 +247,55 @@ class Dataset:
 # parsing
 
 
-def _parse_rating_line(line: str, line_no: int, path):
-    sep = "::" if "::" in line else None  # None = any whitespace (tabs)
-    parts = line.strip().split(sep)
-    if len(parts) < 4:
-        raise DataError(f"{path}:{line_no}: expected user/item/rating/timestamp, got {line!r}")
+def read_rows(path, n_fields: int, parse, sep: str | None = None, header: bool = False):
+    """Yield `parse(fields)` for each line of a raw latin-1 text file, in order.
+
+    Blank lines are skipped, and so is the first line with `header`. Lines
+    split on `sep`; with None, on "::" if the line holds one, else on
+    whitespace (MovieLens ratings come both ways). `parse` gets the first
+    `n_fields` fields and runs here, so its ValueError is tied to the line.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise DataError(f"file not found: {path}")
+    with open(path, encoding="latin-1") as fh:
+        for line_no, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line or (header and line_no == 1):
+                continue
+            fields = line.split("::" if sep is None and "::" in line else sep)
+            if len(fields) < n_fields:
+                raise DataError(f"{path}:{line_no}: expected {n_fields} fields, got {line!r}")
+            try:
+                row = parse(fields[:n_fields])
+            except ValueError as exc:
+                raise DataError(f"{path}:{line_no}: malformed field: {exc}") from exc
+            yield row
+
+
+def _read_feedback(path, n_fields: int, parse, threshold: float, header: bool = False):
+    """Feedback from a raw file whose `parse` gives (user, item, weight,
+    timestamp) per row; rows with weight >= threshold are the positives.
+
+    Id k is the k-th smallest raw id in any row, kept or not, so a user or
+    item without a positive keeps an empty row. Returns (matrix, raw user
+    ids, raw item ids, row count).
+    """
+    columns = [("user", np.int64), ("item", np.int64), ("weight", float), ("timestamp", np.int64)]
     try:
-        return int(parts[0]), int(parts[1]), float(parts[2]), int(parts[3])
-    except ValueError as exc:
-        raise DataError(f"{path}:{line_no}: malformed rating row: {exc}") from exc
+        rows = np.fromiter(read_rows(path, n_fields, parse, header=header), dtype=columns)
+    except OverflowError as exc:
+        raise DataError(f"{path}: id or timestamp beyond 64 bits: {exc}") from exc
+    if not len(rows):
+        raise DataError(f"{path}: empty feedback file")
+    keep = rows["weight"] >= threshold
+    user_ids = np.unique(rows["user"])
+    item_ids = np.unique(rows["item"])
+    interactions = InteractionMatrix.from_pairs(
+        len(user_ids), len(item_ids), np.searchsorted(user_ids, rows["user"][keep]),
+        np.searchsorted(item_ids, rows["item"][keep]), rows["timestamp"][keep],
+    )
+    return interactions, user_ids, item_ids, len(rows)
 
 
 def load_movielens(ratings_path, threshold: float = 4.0):
@@ -257,36 +305,14 @@ def load_movielens(ratings_path, threshold: float = 4.0):
     are retained empty), binarizes at rating >= threshold, and returns the
     raw-id vocabularies alongside so side-info files can be joined.
     """
-    ratings_path = Path(ratings_path)
-    if not ratings_path.exists():
-        raise DataError(f"ratings file not found: {ratings_path}")
-    raw_users, raw_items, raw_ratings, raw_ts = [], [], [], []
-    with open(ratings_path, encoding="latin-1") as fh:
-        for line_no, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            u, i, r, t = _parse_rating_line(line, line_no, ratings_path)
-            raw_users.append(u)
-            raw_items.append(i)
-            raw_ratings.append(r)
-            raw_ts.append(t)
-    if not raw_users:
-        raise DataError(f"{ratings_path}: empty ratings file")
-    raw_users = np.asarray(raw_users)
-    raw_items = np.asarray(raw_items)
-    raw_ratings = np.asarray(raw_ratings)
-    raw_ts = np.asarray(raw_ts)
+    return _read_feedback(ratings_path, 4,
+                          lambda f: (int(f[0]), int(f[1]), float(f[2]), int(f[3])), threshold)
 
-    user_ids = np.unique(raw_users)   # sorted raw ids; index = 0-based id
-    item_ids = np.unique(raw_items)
-    u_idx = np.searchsorted(user_ids, raw_users)
-    i_idx = np.searchsorted(item_ids, raw_items)
 
-    keep = raw_ratings >= threshold
-    interactions = InteractionMatrix.from_pairs(
-        len(user_ids), len(item_ids), u_idx[keep], i_idx[keep], raw_ts[keep]
-    )
-    return interactions, user_ids, item_ids, int(len(raw_users))
+def load_lastfm(data_dir):
+    """user_artists.dat: any listening weight is a positive; no timestamps."""
+    return _read_feedback(Path(data_dir) / "user_artists.dat", 3,
+                          lambda f: (int(f[0]), int(f[1]), int(f[2]), 0), -np.inf, header=True)
 
 
 # ---------------------------------------------------------------------------
@@ -351,12 +377,6 @@ def encode_demographics(age, gender, occupation, zip_code, occupations: list[str
     ])
 
 
-def _zero_feature_count(mat: sparse.csr_array, kind: str) -> None:
-    empty = int((np.diff(mat.indptr) == 0).sum())
-    if empty:
-        log.info("%d %s(s) have no metadata; using zero feature vectors", empty, kind)
-
-
 ML100K_USER_FIELDS = ("id", "age", "gender", "occupation", "zip")
 ML1M_USER_FIELDS = ("id", "gender", "age", "occupation", "zip")
 
@@ -368,177 +388,109 @@ def vectorize_movielens_users(path, user_ids, sep: str, fields) -> sparse.csr_ar
     u.user is id|age|gender|occupation|zip (ML100K_USER_FIELDS), users.dat
     is UserID::Gender::Age::Occupation::Zip-code (ML1M_USER_FIELDS).
     """
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"user metadata file not found: {path}")
-    raw: dict[int, tuple] = {}
-    occupations: set[str] = set()
-    with open(path, encoding="latin-1") as fh:
-        for line_no, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split(sep)
-            if len(parts) < len(fields):
-                raise DataError(
-                    f"{path}:{line_no}: expected {len(fields)} fields, got {line!r}"
-                )
-            rec = dict(zip(fields, parts))
-            raw[int(rec["id"])] = (int(rec["age"]), rec["gender"], rec["occupation"],
-                                   rec["zip"])
-            occupations.add(rec["occupation"])
-    occ_list = sorted(occupations)
+    def parse(parts):
+        rec = dict(zip(fields, parts))
+        return int(rec["id"]), (int(rec["age"]), rec["gender"], rec["occupation"], rec["zip"])
+
+    rows = list(read_rows(path, len(fields), parse, sep))
+    occ_list = sorted({demographics[2] for _, demographics in rows})
+    raw = dict(rows)
     dim = (len(_AGE_EDGES) + 1) + 2 + len(occ_list) + 10
-    rows = np.zeros((len(user_ids), dim))
+    mat = np.zeros((len(user_ids), dim))
     for r, uid in enumerate(user_ids):
         if int(uid) in raw:
-            rows[r] = encode_demographics(*raw[int(uid)], occ_list)
-    mat = sparse.csr_array(rows)
-    _zero_feature_count(mat, "user")
-    return mat
+            mat[r] = encode_demographics(*raw[int(uid)], occ_list)
+    return sparse.csr_array(mat)
 
 
-def vectorize_ml100k_items(path, item_ids) -> sparse.csr_array:
-    """u.item: 19 genre flags pass through; title tokens become a b.o.w. block."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"item metadata file not found: {path}")
-    genres: dict[int, np.ndarray] = {}
-    titles: dict[int, list[str]] = {}
-    with open(path, encoding="latin-1") as fh:
-        for line_no, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("|")
-            if len(parts) < 24:
-                raise DataError(f"{path}:{line_no}: expected 24 fields, got {len(parts)}")
-            iid = int(parts[0])
-            genres[iid] = np.array([float(x) for x in parts[5:24]])
-            titles[iid] = tokenize(parts[1])
-    docs = [titles.get(int(iid), []) for iid in item_ids]
-    bow, _ = bag_of_words(docs)
-    genre_rows = np.zeros((len(item_ids), 19))
+# (separator, field count, parse to (id, title, {genre: value})) of an item
+# file. u.item is id|title|release|video release|url|19 genre flags, each flag
+# under its position; movies.dat is MovieID::Title::Genre|Genre, each name at 1.
+ML100K_ITEM_FORMAT = ("|", 24, lambda f: (int(f[0]), f[1], dict(enumerate(map(float, f[5:])))))
+ML1M_ITEM_FORMAT = ("::", 3, lambda f: (int(f[0]), f[1], dict.fromkeys(f[2].split("|"), 1.0)))
+
+
+def vectorize_movielens_items(path, item_ids, sep: str, n_fields: int,
+                              parse) -> sparse.csr_array:
+    """MovieLens item file -> [genre columns | title bag-of-words] rows.
+
+    Lines parse as ML100K_ITEM_FORMAT or ML1M_ITEM_FORMAT describe. The genre
+    columns are the file's genres in sorted order: u.item's 19 flags pass
+    through in file order, and movies.dat's genre names become one-hot columns.
+    """
+    rows = list(read_rows(path, n_fields, parse, sep))
+    column = {g: k for k, g in enumerate(sorted({g for *_, genres in rows for g in genres}))}
+    by_id = {iid: (title, genres) for iid, title, genres in rows}
+    genre_rows = np.zeros((len(item_ids), len(column)))
+    docs = []
     for r, iid in enumerate(item_ids):
-        if int(iid) in genres:
-            genre_rows[r] = genres[int(iid)]
-    mat = sparse.csr_array(sparse.hstack([sparse.csr_array(genre_rows), bow], format="csr"))
-    _zero_feature_count(mat, "item")
-    return mat
-
-
-def vectorize_ml1m_items(path, item_ids) -> sparse.csr_array:
-    """movies.dat: MovieID::Title::Genre|Genre -> genre one-hot + title b.o.w."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"item metadata file not found: {path}")
-    genre_lists: dict[int, list[str]] = {}
-    titles: dict[int, list[str]] = {}
-    all_genres: set[str] = set()
-    with open(path, encoding="latin-1") as fh:
-        for line_no, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("::")
-            if len(parts) < 3:
-                raise DataError(f"{path}:{line_no}: expected 3 fields, got {line!r}")
-            iid = int(parts[0])
-            genre_lists[iid] = parts[2].split("|")
-            all_genres.update(genre_lists[iid])
-            titles[iid] = tokenize(parts[1])
-    genre_index = {g: k for k, g in enumerate(sorted(all_genres))}
-    docs = [titles.get(int(iid), []) for iid in item_ids]
+        title, genres = by_id.get(int(iid), ("", {}))
+        docs.append(tokenize(title))
+        for g, value in genres.items():
+            genre_rows[r, column[g]] = value
     bow, _ = bag_of_words(docs)
-    genre_rows = np.zeros((len(item_ids), len(genre_index)))
-    for r, iid in enumerate(item_ids):
-        for g in genre_lists.get(int(iid), []):
-            genre_rows[r, genre_index[g]] = 1.0
-    mat = sparse.csr_array(sparse.hstack([sparse.csr_array(genre_rows), bow], format="csr"))
-    _zero_feature_count(mat, "item")
-    return mat
-
-
-def vectorize_side_info(dataset: str, data_dir, user_ids, item_ids) -> SideInfo:
-    """Build SideInfo for a named dataset from its raw metadata files."""
-    data_dir = Path(data_dir)
-    if dataset == "ml-100k":
-        side = SideInfo(
-            vectorize_movielens_users(data_dir / "u.user", user_ids, "|",
-                                      ML100K_USER_FIELDS),
-            vectorize_ml100k_items(data_dir / "u.item", item_ids),
-        )
-    elif dataset == "ml-1m":
-        side = SideInfo(
-            vectorize_movielens_users(data_dir / "users.dat", user_ids, "::",
-                                      ML1M_USER_FIELDS),
-            vectorize_ml1m_items(data_dir / "movies.dat", item_ids),
-        )
-    elif dataset == "lastfm-2k":
-        side = SideInfo(
-            lastfm_user_features(data_dir / "user_friends.dat", user_ids),
-            lastfm_item_features(data_dir / "user_taggedartists.dat", item_ids),
-        )
-    else:
-        raise DataError(f"unknown dataset: {dataset}")
-    return side.validate()
-
-
-def _read_tsv(path, expect: int):
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"file not found: {path}")
-    out = []
-    with open(path, encoding="latin-1") as fh:
-        header = fh.readline()  # hetrec files carry a header row
-        for line_no, line in enumerate(fh, 2):
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) < expect:
-                raise DataError(f"{path}:{line_no}: expected {expect} columns")
-            out.append([int(p) for p in parts[:expect]])
-    return out
+    return sparse.csr_array(sparse.hstack([sparse.csr_array(genre_rows), bow], format="csr"))
 
 
 def lastfm_user_features(friends_path, user_ids) -> sparse.csr_array:
     """Binary social adjacency over the users present in the feedback matrix."""
     pos = {int(u): k for k, u in enumerate(user_ids)}
-    rows, cols = [], []
-    for u, v in _read_tsv(friends_path, 2):
-        if u in pos and v in pos:
-            rows.append(pos[u])
-            cols.append(pos[v])
-    mat = sparse.csr_array(
-        (np.ones(len(rows)), (rows, cols)), shape=(len(user_ids), len(user_ids))
+    friends = read_rows(friends_path, 2, lambda f: tuple(map(int, f)), header=True)
+    edges = np.array([(pos[u], pos[v]) for u, v in friends if u in pos and v in pos],
+                     dtype=np.int64).reshape(-1, 2)
+    return sparse.csr_array(
+        (np.ones(len(edges)), (edges[:, 0], edges[:, 1])), shape=(len(user_ids), len(user_ids))
     )
-    _zero_feature_count(mat, "user")
-    return mat
 
 
 def lastfm_item_features(tagged_path, item_ids) -> sparse.csr_array:
     """Tag-id bags per artist, treated like term documents (df cap + L2)."""
     docs_by_item: dict[int, list[str]] = {int(i): [] for i in item_ids}
-    for _, artist, tag, *_ in _read_tsv(tagged_path, 3):
+    for _, artist, tag in read_rows(tagged_path, 3, lambda f: tuple(map(int, f)), header=True):
         if artist in docs_by_item:
             docs_by_item[artist].append(f"t{tag}")
-    docs = [docs_by_item[int(i)] for i in item_ids]
-    bow, _ = bag_of_words(docs)
-    _zero_feature_count(bow, "item")
-    return bow
+    return bag_of_words([docs_by_item[int(i)] for i in item_ids])[0]
 
 
-def load_lastfm(data_dir):
-    """user_artists.dat: any listening weight is a positive; no timestamps."""
-    rows = _read_tsv(Path(data_dir) / "user_artists.dat", 3)
-    raw_users = np.array([r[0] for r in rows])
-    raw_items = np.array([r[1] for r in rows])
-    user_ids = np.unique(raw_users)
-    item_ids = np.unique(raw_items)
-    inter = InteractionMatrix.from_pairs(
-        len(user_ids),
-        len(item_ids),
-        np.searchsorted(user_ids, raw_users),
-        np.searchsorted(item_ids, raw_items),
-    )
-    return inter, user_ids, item_ids, len(rows)
+class RawDataset(NamedTuple):
+    """How one raw dataset is read from its directory."""
+
+    feedback: Callable       # (dir, threshold) -> (matrix, user ids, item ids, rows)
+    user_features: Callable  # (dir, raw user ids) -> csr rows
+    item_features: Callable  # (dir, raw item ids) -> csr rows
+
+
+DATASETS = {
+    "ml-100k": RawDataset(
+        lambda d, threshold: load_movielens(d / "u.data", threshold),
+        lambda d, ids: vectorize_movielens_users(d / "u.user", ids, "|", ML100K_USER_FIELDS),
+        lambda d, ids: vectorize_movielens_items(d / "u.item", ids, *ML100K_ITEM_FORMAT),
+    ),
+    "ml-1m": RawDataset(
+        lambda d, threshold: load_movielens(d / "ratings.dat", threshold),
+        lambda d, ids: vectorize_movielens_users(d / "users.dat", ids, "::", ML1M_USER_FIELDS),
+        lambda d, ids: vectorize_movielens_items(d / "movies.dat", ids, *ML1M_ITEM_FORMAT),
+    ),
+    "lastfm-2k": RawDataset(
+        lambda d, threshold: load_lastfm(d),
+        lambda d, ids: lastfm_user_features(d / "user_friends.dat", ids),
+        lambda d, ids: lastfm_item_features(d / "user_taggedartists.dat", ids),
+    ),
+}
+
+
+def _raw_dataset(name: str) -> RawDataset:
+    try:
+        return DATASETS[name]
+    except KeyError:
+        raise DataError(f"unknown dataset: {name}") from None
+
+
+def vectorize_side_info(dataset: str, data_dir, user_ids, item_ids) -> SideInfo:
+    """Build SideInfo for a named dataset from its raw metadata files."""
+    raw, data_dir = _raw_dataset(dataset), Path(data_dir)
+    return SideInfo(raw.user_features(data_dir, user_ids),
+                    raw.item_features(data_dir, item_ids)).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -807,18 +759,7 @@ def prepare_dataset(dataset: str, data_dir, seed: int = 0, threshold: float = 4.
                     n_negatives: int = N_EVAL_NEGATIVES) -> Dataset:
     """Load raw files, vectorize side info, and build the leave-one-out split."""
     data_dir = Path(data_dir)
-    if dataset == "ml-100k":
-        inter, user_ids, item_ids, n_raw = load_movielens(
-            data_dir / "u.data", threshold
-        )
-    elif dataset == "ml-1m":
-        inter, user_ids, item_ids, n_raw = load_movielens(
-            data_dir / "ratings.dat", threshold
-        )
-    elif dataset == "lastfm-2k":
-        inter, user_ids, item_ids, n_raw = load_lastfm(data_dir)
-    else:
-        raise DataError(f"unknown dataset: {dataset}")
+    inter, user_ids, item_ids, n_raw = _raw_dataset(dataset).feedback(data_dir, threshold)
     side = vectorize_side_info(dataset, data_dir, user_ids, item_ids)
     train, cases = leave_one_out_split(inter, n_negatives, seed)
     log.info(

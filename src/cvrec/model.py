@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy import sparse
@@ -152,6 +152,10 @@ class ModelDims:
     prior_hidden: int = 200
     inference_hidden: tuple[int, ...] = (600, 200)
     decoder_hidden: tuple[int, ...] = (200, 600)
+
+    def __post_init__(self):
+        self.inference_hidden = tuple(self.inference_hidden)
+        self.decoder_hidden = tuple(self.decoder_hidden)
 
     def interaction_hidden(self) -> tuple[int, int]:
         return (self.latent_dim, max(self.latent_dim // 2, 1))
@@ -403,20 +407,10 @@ def batch_objective(model: ModelParams, batch: PairBatch) -> Node:
 
 def save_checkpoint(model: ModelParams, path, seed: int = 0, step: int = 0,
                     extra: dict | None = None) -> None:
-    d = model.dims
     meta = {
         "magic": CHECKPOINT_MAGIC,
         "version": CHECKPOINT_VERSION,
-        "dims": {
-            "n_users": d.n_users,
-            "n_items": d.n_items,
-            "user_feat_dim": d.user_feat_dim,
-            "item_feat_dim": d.item_feat_dim,
-            "latent_dim": d.latent_dim,
-            "prior_hidden": d.prior_hidden,
-            "inference_hidden": list(d.inference_hidden),
-            "decoder_hidden": list(d.decoder_hidden),
-        },
+        "dims": asdict(model.dims),
         "use_user_prior": model.use_user_prior,
         "use_item_prior": model.use_item_prior,
         "seed": seed,
@@ -433,17 +427,10 @@ def save_checkpoint(model: ModelParams, path, seed: int = 0, step: int = 0,
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
     with open_archive(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
                       "model checkpoint") as (meta, data):
-        md = meta["dims"]
-        dims = ModelDims(
-            n_users=md["n_users"],
-            n_items=md["n_items"],
-            user_feat_dim=md["user_feat_dim"],
-            item_feat_dim=md["item_feat_dim"],
-            latent_dim=md["latent_dim"],
-            prior_hidden=md["prior_hidden"],
-            inference_hidden=tuple(md["inference_hidden"]),
-            decoder_hidden=tuple(md["decoder_hidden"]),
-        )
+        try:
+            dims = ModelDims(**meta["dims"])
+        except TypeError as exc:  # a missing or unknown key
+            raise DataError(f"{path}: malformed model checkpoint: {exc}") from exc
         try:
             model = build_model(dims, None, use_user_prior=meta["use_user_prior"],
                                 use_item_prior=meta["use_item_prior"], arrays=data)

@@ -237,9 +237,8 @@ def clip_gradients(params, max_norm: float) -> float:
 
 
 def assemble_batch(train: InteractionMatrix, side: SideInfo, users, items, labels,
-                   rng: np.random.Generator, k: int = 1,
-                   eps_user=None, eps_item=None,
-                   latent_dim: int | None = None) -> mdl.PairBatch:
+                   rng: np.random.Generator, k: int = 1, *,
+                   latent_dim: int) -> mdl.PairBatch:
     """Materialize rows/features for sampled pairs and draw the pairing noise."""
     users = np.asarray(users, dtype=np.int64)
     items = np.asarray(items, dtype=np.int64)
@@ -247,10 +246,6 @@ def assemble_batch(train: InteractionMatrix, side: SideInfo, users, items, label
     csc_t = train.to_csr_t()
     user_rows = csr[users]
     item_cols = csc_t[items]
-    if eps_user is None:
-        eps_user = rng.standard_normal((len(users) * k, latent_dim))
-    if eps_item is None:
-        eps_item = rng.standard_normal((len(items) * k, latent_dim))
     return mdl.PairBatch(
         users=users,
         items=items,
@@ -261,8 +256,8 @@ def assemble_batch(train: InteractionMatrix, side: SideInfo, users, items, label
         item_cols=item_cols,
         user_targets=user_rows.toarray(),
         item_targets=item_cols.toarray(),
-        eps_user=np.asarray(eps_user, dtype=np.float64),
-        eps_item=np.asarray(eps_item, dtype=np.float64),
+        eps_user=rng.standard_normal((len(users) * k, latent_dim)),
+        eps_item=rng.standard_normal((len(items) * k, latent_dim)),
     )
 
 

@@ -91,6 +91,53 @@ def small_config(**overrides) -> TrainConfig:
     return TrainConfig(**base)
 
 
+ML1M_MOVIES = {
+    1: ("Toy Story (1995)", "Animation|Children's|Comedy"),
+    2: ("Jumanji (1995)", "Adventure|Children's|Fantasy"),
+    3: ("Heat (1995)", "Action|Crime|Thriller"),
+    5: ("Sabrina (1995)", "Comedy|Romance"),
+    7: ("Casino (1995)", "Crime|Drama"),
+}
+
+
+@pytest.fixture
+def ml1m_dir(tmp_path):
+    """A miniature MovieLens-1M directory: 4 users, 5 movies, '::' rows."""
+    d = tmp_path / "ml-1m"
+    d.mkdir()
+    ratings = [(1, 1, 5), (1, 2, 4), (1, 3, 2), (2, 1, 4), (2, 5, 5), (2, 7, 4),
+               (3, 3, 4), (3, 5, 4), (3, 7, 1), (4, 2, 5), (4, 3, 4), (4, 7, 4)]
+    (d / "ratings.dat").write_text("".join(
+        f"{u}::{i}::{r}::{978300000 + k}\n" for k, (u, i, r) in enumerate(ratings)))
+    (d / "users.dat").write_text(
+        "1::F::1::10::48067\n2::M::56::16::70072\n3::M::25::15::55117\n4::M::45::7::02460\n")
+    (d / "movies.dat").write_text("".join(
+        f"{i}::{title}::{genres}\n" for i, (title, genres) in ML1M_MOVIES.items()))
+    return d
+
+
+@pytest.fixture
+def lastfm_dir(tmp_path):
+    """A miniature Lastfm-2K directory: 4 users, 5 artists, hetrec header rows.
+
+    User 9 and artist 99 appear only in the side files, never in the feedback.
+    """
+    d = tmp_path / "lastfm-2k"
+    d.mkdir()
+    listens = [(2, 51, 13883), (2, 52, 11690), (3, 51, 5), (3, 53, 300),
+               (4, 52, 7), (4, 54, 1200), (5, 53, 41), (5, 55, 2)]
+    (d / "user_artists.dat").write_text("userID\tartistID\tweight\n" + "".join(
+        f"{u}\t{a}\t{w}\n" for u, a, w in listens))
+    friends = [(2, 3), (3, 2), (2, 9), (9, 2), (4, 5), (5, 4)]
+    (d / "user_friends.dat").write_text("userID\tfriendID\n" + "".join(
+        f"{u}\t{v}\n" for u, v in friends))
+    tags = [(2, 51, 7), (3, 51, 7), (2, 51, 12), (3, 53, 7), (4, 99, 7)]
+    (d / "user_taggedartists.dat").write_text(
+        "userID\tartistID\ttagID\tday\tmonth\tyear\n"
+        + "".join(f"{u}\t{a}\t{t}\t1\t5\t2008\n" for u, a, t in tags))
+    return d
+
+
 @pytest.fixture(scope="session")
 def block_data():
     return synthetic.block_dataset(seed=5, density=1.0, noise=0.0)

@@ -7,7 +7,7 @@ import pytest
 from cvrec import cli
 from cvrec import evaluate as ev
 from cvrec import train as tr
-from cvrec.data import load_dataset
+from cvrec.data import load_dataset, prepare_dataset
 from cvrec.model import load_checkpoint
 
 
@@ -43,6 +43,27 @@ def raw_dir(tmp_path):
         lines.append(f"{i}|Film {i} (200{i % 10})|01-Jan-2000||url|" + "|".join(flags))
     (d / "u.item").write_text("\n".join(lines) + "\n", encoding="latin-1")
     return d
+
+
+RAW_DIRS = {"ml-100k": "raw_dir", "ml-1m": "ml1m_dir", "lastfm-2k": "lastfm_dir"}
+
+# one row per raw file that its reader must reject: a non-numeric id or flag,
+# or a ratings row with only three fields
+BAD_ROWS = [
+    pytest.param("ml-100k", "u.data", "3\tx\t4\t880000001", id="u.data"),
+    pytest.param("ml-100k", "u.user", "x|30|M|artist|10013", id="u.user"),
+    pytest.param("ml-100k", "u.item",
+                 "26|Film 26 (2006)|01-Jan-2000||url|" + "|".join(["0"] * 18 + ["x"]),
+                 id="u.item"),
+    pytest.param("ml-1m", "ratings.dat", "4::x::5::978300099", id="ratings.dat"),
+    pytest.param("ml-1m", "ratings.dat", "4::5::3", id="ratings.dat-three-fields"),
+    pytest.param("ml-1m", "users.dat", "x::M::25::4::55455", id="users.dat"),
+    pytest.param("ml-1m", "movies.dat", "x::Film (2000)::Drama", id="movies.dat"),
+    pytest.param("lastfm-2k", "user_artists.dat", "2\tx\t10", id="user_artists.dat"),
+    pytest.param("lastfm-2k", "user_friends.dat", "x\t3", id="user_friends.dat"),
+    pytest.param("lastfm-2k", "user_taggedartists.dat", "2\t51\tx\t1\t5\t2008",
+                 id="user_taggedartists.dat"),
+]
 
 
 @pytest.fixture
@@ -132,6 +153,36 @@ class TestPrepare:
                        "--negatives", "10"])
         assert rc == 0
         assert (cache_dir / "ml-100k.npz").exists()
+
+    @pytest.mark.parametrize("dataset", ["ml-1m", "lastfm-2k"])
+    def test_cache_round_trips(self, request, dataset, tmp_path):
+        raw = request.getfixturevalue(RAW_DIRS[dataset])
+        out = tmp_path / "c.npz"
+        rc = cli.main(["prepare", "--dataset", dataset, "--in", str(raw),
+                       "--out", str(out), "--seed", "2", "--negatives", "2"])
+        assert rc == 0
+        back, ref = load_dataset(out), prepare_dataset(dataset, raw, seed=2, n_negatives=2)
+        assert (back.name, back.seed) == (dataset, 2)
+        for part in ("interactions", "train"):
+            for a, b in zip(getattr(back, part).pairs(), getattr(ref, part).pairs()):
+                np.testing.assert_array_equal(a, b)
+        assert [(c.user, c.target, list(c.negatives)) for c in back.eval_cases] == (
+            [(c.user, c.target, list(c.negatives)) for c in ref.eval_cases])
+        for part in ("user_features", "item_features"):
+            np.testing.assert_array_equal(getattr(back.side, part).toarray(),
+                                          getattr(ref.side, part).toarray())
+
+    @pytest.mark.parametrize("dataset, name, row", BAD_ROWS)
+    def test_malformed_raw_row_exit_4(self, request, dataset, name, row, tmp_path,
+                                      caplog):
+        raw = request.getfixturevalue(RAW_DIRS[dataset])
+        line_no = len((raw / name).read_text(encoding="latin-1").splitlines()) + 1
+        with open(raw / name, "a", encoding="latin-1") as fh:
+            fh.write(row + "\n")
+        rc = cli.main(["prepare", "--dataset", dataset, "--in", str(raw),
+                       "--out", str(tmp_path / "c.npz"), "--negatives", "2"])
+        assert rc == 4
+        assert any(f"{name}:{line_no}:" in r.message for r in caplog.records)
 
 
 class TestTrain:
@@ -523,6 +574,15 @@ def _drop_first_parameter(cache, checkpoint, out):
     np.savez(out, **arrays)
 
 
+def _add_dims_key(cache, checkpoint, out):
+    with np.load(checkpoint) as data:
+        arrays = dict(data)
+    meta = json.loads(bytes(arrays["__meta__"]).decode())
+    meta["dims"]["width"] = 3
+    arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    np.savez(out, **arrays)
+
+
 MALFORMED = {
     "foreign-npz-as-ckpt": ("--ckpt", lambda cache, ckpt, out: np.savez(out, a=np.ones(3)),
                             "not a model checkpoint"),
@@ -535,6 +595,7 @@ MALFORMED = {
     "text-as-ckpt": ("--ckpt", lambda cache, ckpt, out: out.write_text("1,2\n"),
                      "not a model checkpoint"),
     "ckpt-missing-array": ("--ckpt", _drop_first_parameter, "malformed model checkpoint"),
+    "ckpt-unknown-dims-key": ("--ckpt", _add_dims_key, "malformed model checkpoint"),
 }
 
 

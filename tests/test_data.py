@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from cvrec import data as d
 
+from conftest import ML1M_MOVIES
+
 
 @pytest.fixture
 def ml_dir(tmp_path):
@@ -178,6 +180,12 @@ class TestLoadMovielens:
         with pytest.raises(d.DataError, match="u.data"):
             d.load_movielens(tmp_path / "u.data")
 
+    def test_id_beyond_64_bits_rejected(self, tmp_path):
+        p = tmp_path / "u.data"
+        p.write_text("1\t2\t5\t100\n99999999999999999999\t3\t4\t101\n")
+        with pytest.raises(d.DataError, match="u.data: id or timestamp beyond 64 bits"):
+            d.load_movielens(p)
+
 
 class TestVectorize:
     def test_gender_one_hot(self):
@@ -249,6 +257,54 @@ class TestVectorize:
             side = d.vectorize_side_info("ml-100k", ml_dir, user_ids, item_ids)
         assert side.user_features[[1]].nnz == 0
         assert any("zero feature" in r.message for r in caplog.records)
+
+
+class TestMl1m:
+    def test_genres_one_hot_in_sorted_order_then_title_bow(self, ml1m_dir):
+        inter, user_ids, item_ids, n_raw = d.load_movielens(ml1m_dir / "ratings.dat")
+        assert n_raw == 12 and list(item_ids) == sorted(ML1M_MOVIES)
+        side = d.vectorize_side_info("ml-1m", ml1m_dir, user_ids, item_ids)
+        names = sorted({g for _, genres in ML1M_MOVIES.values() for g in genres.split("|")})
+        assert names[:3] == ["Action", "Adventure", "Animation"] and len(names) == 10
+        bow, _ = d.bag_of_words([d.tokenize(ML1M_MOVIES[i][0]) for i in item_ids])
+        features = side.item_features.toarray()
+        assert features.shape == (5, len(names) + bow.shape[1])
+        for r, raw_id in enumerate(item_ids):
+            genres = ML1M_MOVIES[raw_id][1].split("|")
+            np.testing.assert_array_equal(features[r, :len(names)],
+                                          [float(g in genres) for g in names])
+        np.testing.assert_array_equal(features[:, len(names):], bow.toarray())
+
+
+class TestLastfm:
+    def test_header_rows_skipped(self, lastfm_dir):
+        inter, user_ids, item_ids, n_raw = d.load_lastfm(lastfm_dir)
+        assert n_raw == 8 and inter.n_positives == 8
+        assert list(user_ids) == [2, 3, 4, 5] and list(item_ids) == [51, 52, 53, 54, 55]
+
+    def test_friends_outside_feedback_dropped(self, lastfm_dir):
+        _, user_ids, item_ids, _ = d.load_lastfm(lastfm_dir)
+        side = d.vectorize_side_info("lastfm-2k", lastfm_dir, user_ids, item_ids)
+        # user 9 befriends user 2 but has no listens
+        np.testing.assert_array_equal(
+            side.user_features.toarray(),
+            [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
+        )
+
+    def test_tag_bags_l2_normalised(self, lastfm_dir):
+        _, user_ids, item_ids, _ = d.load_lastfm(lastfm_dir)
+        side = d.vectorize_side_info("lastfm-2k", lastfm_dir, user_ids, item_ids)
+        # artist 51 has tag 7 twice and tag 12 once; artist 99 has no listens
+        np.testing.assert_allclose(
+            side.item_features.toarray(),
+            [[2 / np.sqrt(5), 1 / np.sqrt(5)], [0, 0], [1, 0], [0, 0], [0, 0]],
+            rtol=1e-15,
+        )
+
+
+def test_unknown_dataset_rejected(ml_dir):
+    with pytest.raises(d.DataError, match="unknown dataset: netflix"):
+        d.prepare_dataset("netflix", ml_dir)
 
 
 class TestLeaveOneOut:

@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -460,6 +461,30 @@ class TestCheckpoint:
         arrays["interact.layer1.weight"] = arrays["interact.layer1.weight"][:, :-1]
         np.savez(path, **arrays)
         with pytest.raises(DataError, match="malformed model checkpoint.*interact.layer1"):
+            m.load_checkpoint(path)
+
+    def test_dims_header_layout(self, tmp_path):
+        path = tmp_path / "model.npz"
+        m.save_checkpoint(tiny_model(seed=43), path)
+        with np.load(path) as data:
+            header = bytes(data["__meta__"]).decode()
+        assert ('"dims": {"n_users": 6, "n_items": 9, "user_feat_dim": 4, '
+                '"item_feat_dim": 5, "latent_dim": 3, "prior_hidden": 8, '
+                '"inference_hidden": [12, 8], "decoder_hidden": [8, 12]}') in header
+
+    @pytest.mark.parametrize("edit", [lambda dims: dims.pop("latent_dim"),
+                                      lambda dims: dims.update(width=3)],
+                             ids=["missing-key", "unknown-key"])
+    def test_bad_dims_key_is_malformed(self, tmp_path, edit):
+        path = tmp_path / "model.npz"
+        m.save_checkpoint(tiny_model(seed=44), path)
+        with np.load(path) as data:
+            arrays = dict(data)
+        meta = json.loads(bytes(arrays["__meta__"]).decode())
+        edit(meta["dims"])
+        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        np.savez(path, **arrays)
+        with pytest.raises(DataError, match="malformed model checkpoint"):
             m.load_checkpoint(path)
 
     def test_rejects_foreign_file(self, tmp_path):
