@@ -11,7 +11,8 @@ Inside `no_grad()` no graph is recorded: each op still computes its value,
 but the node it returns keeps no parents and no backward closure, so
 intermediate values are freed as soon as the next op has consumed them.
 Scoring runs the networks' training forward this way instead of keeping a
-second, graph-free copy of each network.
+second, graph-free copy of each network. The switch is per thread, so
+scoring workers that enter it leave every other thread recording.
 
 Ops: `affine`, `relu`, `sigmoid`, `exp`, `clip`, `add`, `sub`, `mul`,
 `scale`, `add_scalar`, `sum_all`, `concat_cols` and `repeat_rows`, plus one
@@ -25,6 +26,7 @@ row in `affine` is the one exception), sparse gradients, and anything GPU.
 from __future__ import annotations
 
 import contextlib
+import threading
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -35,22 +37,26 @@ from scipy.special import expit
 # unbounded log-variances otherwise let early training diverge.
 EXP_CLAMP = 15.0
 
-_recording = True  # False inside no_grad()
+
+class _Recording(threading.local):
+    on = True  # False inside no_grad(); every thread starts with True
+
+
+_recording = _Recording()
 
 
 @contextlib.contextmanager
 def no_grad():
     """Build nodes without parents or backward closures inside the block.
 
-    The switch is process-wide and restored on exit, exceptions included;
+    The switch is per thread and restored on exit, exceptions included;
     leaves made by `parameter` stay trainable.
     """
-    global _recording
-    previous, _recording = _recording, False
+    previous, _recording.on = _recording.on, False
     try:
         yield
     finally:
-        _recording = previous
+        _recording.on = previous
 
 
 class Node:
@@ -72,7 +78,7 @@ class Node:
         self.value = value
         self.grad = None
         self.op = op
-        if not _recording:
+        if not _recording.on:
             parents, backward = (), None
         self.parents = tuple(parents)
         self._backward = backward

@@ -16,9 +16,11 @@ that move far less with the host's load.
 Only numpy's bundled OpenBLAS, found next to numpy as in its wheels, is
 controlled; with any other BLAS `single_thread()` changes nothing. The count
 is process-wide, so every Python thread that runs a product inside the block
-uses one BLAS thread. Scoring relies on that: its worker pool is created and
-shut down inside `single_thread()`, so scoring uses the cores through its
-own threads, each product on one core, rather than through OpenBLAS's.
+uses one BLAS thread. Scoring relies on that: its worker pool, one thread
+per core, runs every product of scoring except the user halves the calling
+thread draws, and is created and shut down inside `single_thread()`. So
+scoring uses the cores through its own threads, each product on one core,
+rather than through OpenBLAS's.
 """
 
 from __future__ import annotations

@@ -519,25 +519,26 @@ def leave_one_out_split(interactions: InteractionMatrix,
         latest = np.lexsort((items, ts))[-1]
         target = int(items[latest])
         held_out.append((u, target))
-        candidates = _unseen_items(unseen, items)
-        truncated = len(candidates) < n_negatives
-        if truncated:
-            log.warning("user %d has only %d negative candidates", u, len(candidates))
-            negatives = candidates.copy()
-        else:
-            negatives = rng.choice(candidates, size=n_negatives, replace=False)
-        cases.append(EvalCase(u, target, np.sort(negatives), truncated))
+        negatives, truncated = _draw_negatives(unseen, items, n_negatives, rng, u)
+        cases.append(EvalCase(u, target, negatives, truncated))
     train = interactions.without(held_out)
     return train, cases
 
 
-def _unseen_items(unseen: np.ndarray, items: np.ndarray) -> np.ndarray:
-    """Ascending ids of the items not in `items`. `unseen` is an all-True
-    scratch row over the catalogue, left all-True on return."""
+def _draw_negatives(unseen: np.ndarray, items: np.ndarray, n_negatives: int,
+                    rng: np.random.Generator, user: int) -> tuple[np.ndarray, bool]:
+    """Sorted ids of `n_negatives` items drawn without replacement from those
+    not in `items`, and whether fewer were available (then all of them are
+    returned and the rng is not used). `unseen` is an all-True scratch row
+    over the catalogue, left all-True on return."""
     unseen[items] = False
     pool = np.flatnonzero(unseen)
     unseen[items] = True
-    return pool
+    truncated = len(pool) < n_negatives
+    if truncated:
+        log.warning("user %d has only %d negative candidates", user, len(pool))
+        return pool, truncated
+    return np.sort(rng.choice(pool, size=n_negatives, replace=False)), truncated
 
 
 def sample_minibatch(train: InteractionMatrix, batch_positives: int,
@@ -623,12 +624,10 @@ def make_cold_split(interactions: InteractionMatrix, side: SideInfo,
             u, j = int(users[ix]), int(items[ix])
             # candidates are always items for the source user; in item mode
             # only the target is scored through the item prior
-            pool = _unseen_items(unseen, interactions.user_items[u])
-            truncated = len(pool) < n_negatives
-            negatives = (pool.copy() if truncated
-                         else rng.choice(pool, size=n_negatives, replace=False))
+            negatives, truncated = _draw_negatives(
+                unseen, interactions.user_items[u], n_negatives, rng, u)
             case = ColdCase(
-                user=u, target=j, negatives=np.sort(negatives), truncated=truncated,
+                user=u, target=j, negatives=negatives, truncated=truncated,
                 cold=bool(flag), source_user=u, source_item=j,
             )
             if flag:

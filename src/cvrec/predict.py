@@ -19,28 +19,32 @@ forward. Blocks are bounded in sample rows (S rows per case, item or slot):
 CASE_ROWS for the user halves held at once, ITEM_ROWS for the item halves and
 SLOT_ROWS for the slots pushed through the upper layers at once.
 
-Scoring runs on every core the process may use. Worker threads, one per
-core, produce the item blocks: each item's noise draw, its samples and its
-half v W_v^T, written into a ring of lookahead = workers + 1 block buffers.
-The calling thread draws the user halves and then consumes the item blocks
-in order: per slot block the gather, the add, the ReLU, the upper layers and
-the writes into the scores; a consumed block's buffer goes to the next block.
-Workers run plain numpy only: they build no autodiff node (whose no-grad
-switch is process-wide), call no public function of this package (a tracer
-that wraps those keeps one span stack) and never write the scores. Each
-item's arithmetic and every block's shape are those of a single-threaded
-run, so the scores do not depend on the number of workers. The pool lives
-for one call, inside `blas.single_thread`, so every thread's products use one
-BLAS thread; an error in any thread ends the call with the pool shut down.
+Scoring runs on every core the process may use. For each block of cases the
+calling thread draws the user halves, u W_u^T + b, and then waits while the
+workers, one thread per core, score every slot. The item blocks are dealt to
+the workers in turn: worker w takes blocks w, w + workers, ... and, for each,
+draws its items' noise, computes their samples and their half v W_v^T into
+its own two buffers, then runs the block's slot blocks: the gather, the add,
+the ReLU, the upper layers and the mean over the samples. The slots of one
+item block are contiguous in the item-major order, so each worker writes
+scores no other worker touches. Workers build their autodiff nodes under
+their own `no_grad` (the switch is per thread) and call the interaction net
+through its class, not through the instance attribute that a tracer keeping
+one span stack wraps. Slot blocks are carved inside each item block, and
+every product's shape is that of a one-worker run, so the scores do not
+depend on the number of workers, bit for bit. The pool lives for one call,
+inside `blas.single_thread`, so every thread's products use one BLAS thread;
+an error in any thread ends the call with the pool shut down.
 
 Peak scoring memory is fixed by the block constants and the layer widths, not
-by the number of candidates or cases: the ring holds lookahead x ITEM_ROWS x
-(D + width) x 8 bytes of samples and item halves, 12.6 MB at D = width = 128
-with two workers. On a 2-core KVM guest (Sapphire Rapids, one thread per
-core), against scoring on the calling thread alone, the pipeline cut the
-median time per eval-ml100k case from 38.9 to 25.3 ms and, in a second set,
-from 32.0 to 24.4 ms (10 seeds each), and per one-user all-items predict-ml1m
-call from 3.10 to 2.21 s (5 seeds).
+by the number of candidates or cases. Each worker holds ITEM_ROWS x (D +
+width) x 8 bytes of samples and item halves, 4.2 MB at D = width = 128, plus
+its slot block's activations, SLOT_ROWS x 8 bytes per unit of the upper
+layers. On a 2-core AMD EPYC guest, against a pipeline whose calling thread
+ran the slots while the workers made only the item halves, this cut the
+median time per eval-ml100k case from 8.44 to 7.62 ms (10 seeds, faster on
+each) and per one-user all-items predict-ml1m call from 772 to 706 ms (6
+seeds), with peak memory level: 174 -> 172 MB and 264 -> 265 MB.
 
 Noise streams are keyed by (seed, side, entity id): the user keys and the
 item table's keys. That makes every score deterministic for a fixed seed and
@@ -57,7 +61,7 @@ from scipy import sparse
 
 from . import blas
 from .data import InteractionMatrix, SideInfo
-from .model import ModelParams, inference_input
+from .model import ModelParams, SigmoidNet, inference_input
 
 DEFAULT_SAMPLES = 128
 
@@ -67,12 +71,13 @@ _ITEM_STREAM = 0x5A
 # Block bounds of `score_cases` in sample rows (see the module docstring).
 # Smaller item and slot blocks stay in cache; on 2 cores, 2^11-2^13 rows ran
 # within noise of each other at eval and predict shapes when one thread
-# scored. With the worker pipeline, lookahead item blocks are in flight at
-# once: 2^12 item rows raised eval-ml100k's peak memory by 7-9%, 2^11 kept it
-# level with the single-threaded scoring.
+# scored. Every worker holds one item block and one slot block at once. With
+# two workers, 2^11 slot rows raised the peak of eval-ml100k from 173 to
+# 176-180 MB and of predict-ml1m from 267 to 267-279 MB; 2^10 kept both level
+# (170 and 261 MB) and ran as fast.
 CASE_ROWS = 1 << 16
 ITEM_ROWS = 1 << 11
-SLOT_ROWS = 1 << 11
+SLOT_ROWS = 1 << 10
 
 
 def _noise(seed: int, stream: int, key: int, n: int, dim: int) -> np.ndarray:
@@ -147,9 +152,8 @@ def item_prior_params(model: ModelParams, features) -> tuple[np.ndarray, np.ndar
 def _item_half(seed: int, item_keys, v_means, v_lvs, rows, w_v, v, vw) -> np.ndarray:
     """Samples of the table rows `rows` and their half of the first layer.
 
-    Writes the samples into the ring buffer `v` and v W_v^T into `vw`, and
-    returns the filled part of `vw` as (rows, S, width). Runs on a worker
-    thread, so it uses plain numpy only: no autodiff node, no `scores`.
+    Writes the samples into the worker's buffer `v` and v W_v^T into `vw`,
+    and returns the filled part of `vw` as (rows, S, width).
     """
     n, n_samples, d = len(rows), v.shape[1], v.shape[2]
     v = v[:n]
@@ -183,12 +187,13 @@ def score_cases(model: ModelParams, item_keys, v_means, v_lvs, u_means, u_lvs,
     cases_per_block = max(1, CASE_ROWS // n_samples)
     items_per_block = max(1, ITEM_ROWS // n_samples)
     slots_per_block = max(1, SLOT_ROWS // n_samples)
-    workers = len(os.sched_getaffinity(0))
-    lookahead = workers + 1
-    ring_items = min(items_per_block, len(item_keys))
-    v_ring = np.empty((lookahead, ring_items, n_samples, d))
-    vw_ring = np.empty((lookahead, ring_items * n_samples, width))
-    with blas.single_thread(), ThreadPoolExecutor(workers) as pool:
+    block_items = min(items_per_block, len(item_keys))
+    workers = max(1, min(len(os.sched_getaffinity(0)),
+                         -(-len(item_keys) // items_per_block)))
+    buffers = [(np.empty((block_items, n_samples, d)),
+                np.empty((block_items * n_samples, width))) for _ in range(workers)]
+    with blas.single_thread(), ThreadPoolExecutor(
+            workers, thread_name_prefix="cvrec-score") as pool:
         for c0 in range(0, len(case_rows), cases_per_block):
             c1 = min(c0 + cases_per_block, len(case_rows))
             slot_case = np.repeat(np.arange(c1 - c0), lengths[c0:c1])
@@ -199,37 +204,38 @@ def score_cases(model: ModelParams, item_keys, v_means, v_lvs, u_means, u_lvs,
                 slot_row[order], return_index=True, return_inverse=True
             )
             item_start = np.append(item_start, len(order))
-            blocks = [items[i:i + items_per_block]
-                      for i in range(0, len(items), items_per_block)]
-
-            def item_half(b):
-                # ring slot b % lookahead is free once block b - lookahead is scored
-                return pool.submit(_item_half, seed, item_keys, v_means, v_lvs, blocks[b],
-                                   w_v, v_ring[b % lookahead], vw_ring[b % lookahead])
-
-            pending = [item_half(b) for b in range(min(lookahead, len(blocks)))]
-            # user half of the first layer, bias included, one case at a time,
-            # while the workers draw the first item blocks
+            slot_scores = scores[offsets[c0]:offsets[c1]]
+            # user half of the first layer, bias included, one case at a time
             uw = np.empty((c1 - c0, n_samples, width))
             for c in range(c0, c1):
                 u = _draw(u_means[c], u_lvs[c],
                           _noise(seed, _USER_STREAM, user_keys[c], n_samples, d))
                 np.matmul(u, w_u, out=uw[c - c0])
                 uw[c - c0] += first.bias.value
-            for b, rows in enumerate(blocks):
-                vw = pending[b].result()
-                i0 = b * items_per_block
-                i1 = i0 + len(rows)
-                for j0 in range(item_start[i0], item_start[i1], slots_per_block):
-                    j1 = min(j0 + slots_per_block, item_start[i1])
-                    slots = order[j0:j1]
-                    h = uw[slot_case[slots]]
-                    h += vw[slot_item[j0:j1] - i0]
-                    np.maximum(h, 0.0, out=h)
-                    probs = model.interact.forward_values(h.reshape(-1, width), start=1)
-                    scores[offsets[c0] + slots] = probs.reshape(j1 - j0, n_samples).mean(axis=1)
-                if b + lookahead < len(blocks):
-                    pending.append(item_half(b + lookahead))
+
+            def score_share(worker, v, vw):
+                # item blocks worker, worker + workers, ...; their slots, and
+                # so their positions in the scores, belong to no other worker
+                step = workers * items_per_block
+                for i0 in range(worker * items_per_block, len(items), step):
+                    i1 = min(i0 + items_per_block, len(items))
+                    item_vw = _item_half(seed, item_keys, v_means, v_lvs, items[i0:i1],
+                                         w_v, v, vw)
+                    for j0 in range(item_start[i0], item_start[i1], slots_per_block):
+                        j1 = min(j0 + slots_per_block, item_start[i1])
+                        slots = order[j0:j1]
+                        h = uw[slot_case[slots]]
+                        h += item_vw[slot_item[j0:j1] - i0]
+                        np.maximum(h, 0.0, out=h)
+                        # through the class: a tracer that wraps the instance
+                        # attribute keeps one span stack for all threads
+                        probs = SigmoidNet.forward_values(
+                            model.interact, h.reshape(-1, width), start=1)
+                        slot_scores[slots] = probs.reshape(j1 - j0, n_samples).mean(axis=1)
+
+            shares = [pool.submit(score_share, w, *buffers[w]) for w in range(workers)]
+            for share in shares:
+                share.result()
     return [scores[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])]
 
 

@@ -1,4 +1,5 @@
 import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,16 @@ needs_ml100k = pytest.mark.skipif(
 needs_full_run = pytest.mark.skipif(
     not RUN_FULL, reason="multi-hour training run; set CVREC_RUN_FULL=1 to enable"
 )
+
+
+@pytest.fixture(autouse=True)
+def scoring_leaves_no_trace():
+    """Fail a test that leaves a scoring worker alive or graph recording off."""
+    yield
+    alive = [t.name for t in threading.enumerate() if t.name.startswith("cvrec-score")]
+    assert not alive, f"scoring threads still alive: {alive}"
+    x = ad.parameter([[1.0]])
+    assert ad.scale(x, 1.0).parents == (x,), "graph recording left off"
 
 
 _FD_EPS = 1e-8  # denominator guard in relative errors

@@ -1,9 +1,16 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvrec import autodiff as ad
+from cvrec import evaluate as ev
+from cvrec import model as mdl
+from cvrec import predict, synthetic
+from cvrec import train as tr
 
 from conftest import finite_diff_check
 
@@ -236,6 +243,78 @@ class TestNoGrad:
                 pass
             assert ad.scale(x, 2.0).parents == ()
         assert ad.scale(x, 2.0).parents == (x,)
+
+
+def records() -> bool:
+    """Whether this thread builds graph edges right now."""
+    x = ad.parameter([[1.0]])
+    return ad.scale(x, 2.0).parents == (x,)
+
+
+class TestNoGradPerThread:
+    def test_block_on_one_thread_leaves_another_recording(self):
+        entered, release, inside = threading.Event(), threading.Event(), []
+
+        def hold():
+            with ad.no_grad():
+                inside.append(records())
+                entered.set()
+                release.wait(timeout=10)
+
+        worker = threading.Thread(target=hold)
+        worker.start()
+        try:
+            assert entered.wait(timeout=10)
+            assert records()
+        finally:
+            release.set()
+            worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert inside == [False]
+
+    def test_main_thread_records_after_concurrent_blocks(self):
+        # with one process-wide switch, a thread leaving its block restores
+        # the False another thread saved, and the switch sticks at False
+        barrier, seen = threading.Barrier(8), []
+
+        def churn():
+            barrier.wait(timeout=10)
+            for _ in range(200):
+                with ad.no_grad():
+                    inside = records()
+                seen.append((inside, records()))
+
+        threads = [threading.Thread(target=churn) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(seen) == 8 * 200 and set(seen) == {(False, True)}
+        assert records()
+
+    def test_backward_after_evaluate_fills_every_gradient(self, monkeypatch):
+        # scoring's workers enter no_grad on their own threads; training after
+        # it must still build the whole graph
+        monkeypatch.setattr(predict.os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(predict, "ITEM_ROWS", 2 * 8)
+        dataset = synthetic.block_dataset(seed=3)
+        dims = mdl.ModelDims(dataset.n_users, dataset.n_items, dataset.side.user_dim,
+                             dataset.side.item_dim, 8, 10, (14, 10), (10, 14))
+        model = mdl.build_model(dims, np.random.default_rng(4))
+        ev.evaluate(model, dataset, ks=(5,), n_samples=8, seed=1)
+        users, items, labels = tr.sample_minibatch(dataset.train, 6, 2,
+                                                   np.random.default_rng(5))
+        batch = tr.assemble_batch(dataset.train, dataset.side, users, items, labels,
+                                  np.random.default_rng(6), latent_dim=8)
+        ad.backward(mdl.batch_objective(model, batch))
+        missing = [name for name, p in model.named_parameters().items() if p.grad is None]
+        assert missing == []
 
 
 class TestFiniteDiffCheck:

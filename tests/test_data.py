@@ -493,6 +493,48 @@ class TestColdSplit:
         assert all(c.source_item < inter.n_items for c in cold)
 
 
+def split_digest(train, cases) -> str:
+    """sha256 over a split's training pairs and every field of its cases."""
+    h = hashlib.sha256()
+    for a in train.pairs():
+        h.update(np.ascontiguousarray(a, dtype=np.int64).tobytes())
+    for c in cases:
+        h.update(repr((c.user, c.target, c.truncated, getattr(c, "cold", None),
+                       getattr(c, "source_user", None),
+                       getattr(c, "source_item", None))).encode())
+        h.update(np.asarray(c.negatives, dtype=np.int64).tobytes())
+    return h.hexdigest()
+
+
+class TestNegativeDraw:
+    """Both splits draw negatives through one helper; the draws, and so the
+    RNG streams and caches, are pinned to the digests of earlier releases."""
+
+    def test_leave_one_out_digest(self, ml_dir, caplog):
+        ds = d.prepare_dataset("ml-100k", ml_dir, seed=4, n_negatives=10)
+        assert [c.truncated for c in ds.eval_cases] == [True, False]
+        assert "user 0 has only 0 negative candidates" in caplog.text
+        assert split_digest(ds.train, ds.eval_cases) == (
+            "e750b4b3531dc315336891825f2331284b0242effaf415e26ba1e7ed9b1a5cba")
+
+    def test_cold_split_digest_and_truncation_logged(self, caplog):
+        from scipy import sparse
+
+        rng = np.random.default_rng(5)
+        users, items = np.nonzero(rng.random((20, 30)) < 0.4)
+        inter = d.InteractionMatrix.from_pairs(20, 30, users, items)
+        rng = np.random.default_rng(6)
+        side = d.SideInfo(sparse.csr_array(rng.random((20, 4))),
+                          sparse.csr_array(rng.random((30, 5))))
+        split = d.make_cold_split(inter, side, fraction=0.3, mode="user", seed=9,
+                                  n_negatives=15)
+        cases = split.val_cases + split.test_cases
+        assert sum(c.truncated for c in cases) == 4
+        assert "user 6 has only 13 negative candidates" in caplog.text
+        assert split_digest(split.train, cases) == (
+            "2cb90769f96b804ae9eba2f2471f7bc0de0b0bb740ec14c3f6e0cf29fbf3d2dc")
+
+
 class TestCache:
     def make_dataset(self, ml_dir, seed=4):
         return d.prepare_dataset("ml-100k", ml_dir, seed=seed, n_negatives=10)

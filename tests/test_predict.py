@@ -331,25 +331,34 @@ class TestPipeline:
         if fns is not None:
             assert fns[0]() == blas_before
 
-    def test_interaction_net_runs_on_calling_thread(self, trained_block, monkeypatch):
-        # shimmed on the instance, as a tracer wraps it
+    def test_interaction_net_runs_on_workers(self, trained_block, monkeypatch):
+        # workers call the class's forward_values, never the instance attribute
+        # that a tracer wraps
         dataset, result = trained_block
-        model = result.model
+        net = result.model.interact
         set_workers(monkeypatch, 2)
         monkeypatch.setattr(predict, "ITEM_ROWS", 2 * 8)
-        forward_values, callers = model.interact.forward_values, []
+        monkeypatch.setattr(predict, "SLOT_ROWS", 3 * 8)
+        forward_values, callers, instance_calls = mdl.SigmoidNet.forward_values, [], []
 
-        def shim(*args, **kwargs):
-            callers.append(threading.get_ident())
-            return forward_values(*args, **kwargs)
+        def class_shim(self, *args, **kwargs):
+            if self is net:
+                callers.append(threading.get_ident())
+            return forward_values(self, *args, **kwargs)
 
-        monkeypatch.setattr(model.interact, "forward_values", shim)
+        def instance_shim(*args, **kwargs):
+            instance_calls.append(threading.get_ident())
+            return forward_values(net, *args, **kwargs)
+
+        monkeypatch.setattr(mdl.SigmoidNet, "forward_values", class_shim)
+        monkeypatch.setattr(net, "forward_values", instance_shim)
         split = make_cold_split(dataset.interactions, dataset.side, fraction=0.3,
                                 mode="user", seed=6)
-        ev.evaluate(model, dataset, ks=(5,), n_samples=8, seed=1)
-        ev.evaluate_cold(model, dataset, split, mode="user", ks=(5,), n_samples=8,
-                         seed=1)
-        assert callers and set(callers) == {threading.get_ident()}
+        ev.evaluate(result.model, dataset, ks=(5,), n_samples=8, seed=1)
+        ev.evaluate_cold(result.model, dataset, split, mode="user", ks=(5,),
+                         n_samples=8, seed=1)
+        assert callers and threading.get_ident() not in callers
+        assert instance_calls == []
 
 
 class TestSingleThread:
