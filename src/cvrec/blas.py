@@ -13,14 +13,25 @@ one thread. `single_thread()` runs a block with one BLAS thread and restores
 the count on exit, trading about 13% of quiet-host speed for scoring times
 that move far less with the host's load.
 
+A threaded product leaves OpenBLAS's idle thread spinning on the other core
+for a while after it returns, and setting the count to 1 does not stop it.
+On a 2-core guest a two-thread `train.adam_step` took 5.5 ms alone but 10.0
+ms right after a two-thread GEMM, and 10.04 ms with the count set to 1
+between the two. The spinning thread takes a core from whatever runs next.
+So a scoring call holds one BLAS thread from start to finish: `predict.rank`
+and the scorer of `evaluate`, `evaluate_cold` and validation enter
+`single_thread()` before their posterior passes, not only around
+`score_cases`. Running just the posterior passes on one BLAS thread cut the
+time per eval-ml100k case from 7.64-8.21 to 6.98-7.16 ms (3 seeds).
+
 Only numpy's bundled OpenBLAS, found next to numpy as in its wheels, is
 controlled; with any other BLAS `single_thread()` changes nothing. The count
 is process-wide, so every Python thread that runs a product inside the block
-uses one BLAS thread. Scoring relies on that: its worker pool, one thread
-per core, runs every product of scoring except the user halves the calling
-thread draws, and is created and shut down inside `single_thread()`. So
-scoring uses the cores through its own threads, each product on one core,
-rather than through OpenBLAS's.
+uses one BLAS thread. Scoring relies on that: its pools, one thread per core,
+run the posterior passes' chunks and every product of `score_cases` except
+the user halves the calling thread draws, and each pool is created and shut
+down inside `single_thread()`. So scoring uses the cores through its own
+threads, each product on one core, rather than through OpenBLAS's.
 """
 
 from __future__ import annotations

@@ -223,7 +223,8 @@ def _write_csv(header, rows, out, what: str) -> None:
     """Write the table to `out` and say so on stdout, or print it."""
     text = "\n".join(",".join(map(str, row)) for row in [header, *rows])
     if out:
-        Path(out).write_text(text + "\n")
+        with dat.rewrite(out) as fh:
+            fh.write(text + "\n")
         print(f"{what} written to {out}")
     else:
         print(text)

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import re
+import stat
 import zipfile
 from collections.abc import Callable
 from contextlib import contextmanager
@@ -695,6 +697,26 @@ def save_dataset(dataset: Dataset, path) -> None:
     _pack_csr("item_feat", dataset.side.item_features, arrays)
     with open(path, "wb") as fh:
         np.savez_compressed(fh, **arrays)
+
+
+@contextmanager
+def rewrite(path, mode: str = "w"):
+    """Open `path` to write it whole: from its start, cut at the end on exit.
+
+    A regular file is not truncated on opening but cut at the written length
+    on exit, also when the body raises, so a failed write leaves only the
+    bytes written. On an ext4 volume mounted with `discard`, reopening a
+    just-written file with "w" (O_TRUNC) blocked for 55-95 ms from the third
+    rewrite on; writing over the old bytes and then cutting the file took
+    0.1-0.2 ms. Devices and pipes (/dev/null, a terminal, /dev/stdout) are
+    written as they are, since they cannot be cut.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), mode) as fh:
+        try:
+            yield fh
+        finally:
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
 
 
 @contextmanager

@@ -13,11 +13,12 @@ table is one all-items posterior pass, plus one row per cold target item
 carrying its prior. That call works item-major in blocks bounded by
 `predict.CASE_ROWS`, `ITEM_ROWS` and `SLOT_ROWS`: an item's samples and
 first-layer half are computed once per block of cases, however many cases
-share the item, by worker threads while the calling thread scores the
-previous item blocks. Noise is keyed by (seed, side, entity id), so given its
-Gaussians a case scores the same alone or in any batch (the batched posterior
-passes may move the Gaussians themselves by rounding), and each case is
-ranked once.
+share the item, by the worker threads that also score its slots. The
+posterior and prior passes and that call run in one `blas.single_thread`
+scope (see `blas` for why). Noise is keyed by (seed, side, entity id), so
+given its Gaussians a case scores the same alone or in any batch (the batched
+posterior passes may move the Gaussians themselves by rounding), and each
+case is ranked once.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import predict
+from . import blas, predict
 from .data import ColdSplit, Dataset, EvalCase, InteractionMatrix, SideInfo
 from .model import ModelParams
 
@@ -137,34 +138,37 @@ def _score_cases(model: ModelParams, train: InteractionMatrix, side: SideInfo,
     """
     if not cases:
         return []
-    item_mean, item_lv = predict.item_posterior(model, train, side,
-                                                np.arange(train.n_items))
-    keys, means, lvs = list(range(train.n_items)), [item_mean], [item_lv]
-    cold_mode = [split.mode if split is not None and c.cold else None for c in cases]
-    warm = [i for i, mode in enumerate(cold_mode) if mode != "user"]
-    u_means = np.empty((len(cases), model.dims.latent_dim))
-    u_lvs = np.empty_like(u_means)
-    if warm:
-        u_means[warm], u_lvs[warm] = predict.user_posterior(
-            model, train, side, [cases[i].user for i in warm])
-    case_rows = []
-    for i, (case, cold) in enumerate(zip(cases, cold_mode)):
-        if cold == "user":
-            u_means[i], u_lvs[i] = predict.user_prior_params(
-                model, split.feature_row(side, case))
-        rows = case_candidates(case)
-        if cold == "item":
-            t_mean, t_lv = predict.item_prior_params(model, split.feature_row(side, case))
-            rows[0] = len(keys)
-            keys.append(case.target)
-            means.append(t_mean)
-            lvs.append(t_lv)
-        case_rows.append(rows)
-    return predict.score_cases(
-        model, np.array(keys), np.vstack(means), np.vstack(lvs),
-        u_means, u_lvs, [c.user for c in cases], case_rows,
-        n_samples, seed,
-    )
+    with blas.single_thread():
+        item_mean, item_lv = predict.item_posterior(model, train, side,
+                                                    np.arange(train.n_items))
+        keys, means, lvs = list(range(train.n_items)), [item_mean], [item_lv]
+        cold_mode = [split.mode if split is not None and c.cold else None
+                     for c in cases]
+        warm = [i for i, mode in enumerate(cold_mode) if mode != "user"]
+        u_means = np.empty((len(cases), model.dims.latent_dim))
+        u_lvs = np.empty_like(u_means)
+        if warm:
+            u_means[warm], u_lvs[warm] = predict.user_posterior(
+                model, train, side, [cases[i].user for i in warm])
+        case_rows = []
+        for i, (case, cold) in enumerate(zip(cases, cold_mode)):
+            if cold == "user":
+                u_means[i], u_lvs[i] = predict.user_prior_params(
+                    model, split.feature_row(side, case))
+            rows = case_candidates(case)
+            if cold == "item":
+                t_mean, t_lv = predict.item_prior_params(
+                    model, split.feature_row(side, case))
+                rows[0] = len(keys)
+                keys.append(case.target)
+                means.append(t_mean)
+                lvs.append(t_lv)
+            case_rows.append(rows)
+        return predict.score_cases(
+            model, np.array(keys), np.vstack(means), np.vstack(lvs),
+            u_means, u_lvs, [c.user for c in cases], case_rows,
+            n_samples, seed,
+        )
 
 
 def evaluate(model: ModelParams, dataset: Dataset, ks=DEFAULT_KS,

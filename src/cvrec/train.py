@@ -24,14 +24,14 @@ import dataclasses
 import json
 import logging
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
 from . import evaluate as ev
 from . import model as mdl
-from .data import Dataset, EvalCase, InteractionMatrix, SideInfo, sample_minibatch
+from .data import (Dataset, EvalCase, InteractionMatrix, SideInfo, rewrite,
+                   sample_minibatch)
 
 log = logging.getLogger(__name__)
 
@@ -405,8 +405,7 @@ def fit(dataset: Dataset, config: TrainConfig,
 
 def write_history(history: list[dict], path, seed: int) -> None:
     """CSV loss/metric history: a seed comment line, then epoch rows."""
-    path = Path(path)
-    with open(path, "w") as fh:
+    with rewrite(path) as fh:
         fh.write(f"# seed={seed}\n")
         fh.write("epoch,loss,val_hr5,val_ndcg5\n")
         for row in history:

@@ -26,10 +26,11 @@ needs_full_run = pytest.mark.skipif(
 
 @pytest.fixture(autouse=True)
 def scoring_leaves_no_trace():
-    """Fail a test that leaves a scoring worker alive or graph recording off."""
+    """Fail a test that leaves a pool thread of the package (every pool names
+    its threads `cvrec-...`) alive or graph recording off."""
     yield
-    alive = [t.name for t in threading.enumerate() if t.name.startswith("cvrec-score")]
-    assert not alive, f"scoring threads still alive: {alive}"
+    alive = [t.name for t in threading.enumerate() if t.name.startswith("cvrec-")]
+    assert not alive, f"cvrec threads still alive: {alive}"
     x = ad.parameter([[1.0]])
     assert ad.scale(x, 1.0).parents == (x,), "graph recording left off"
 

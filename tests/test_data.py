@@ -1,11 +1,15 @@
 import hashlib
+import os
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cvrec import cli
 from cvrec import data as d
+from cvrec.train import write_history
 
 from conftest import ML1M_MOVIES
 
@@ -572,3 +576,53 @@ class TestCache:
         np.savez(path, a=np.ones(2))
         with pytest.raises(d.DataError, match="not a dataset cache"):
             d.load_dataset(path)
+
+
+
+class TestRewrite:
+    """The CSV writers that rewrite their files go through `data.rewrite`."""
+
+    ROW = {"epoch": 1, "loss": 2.5, "val_hr5": 0.1, "val_ndcg5": 0.05}
+    WRITERS = {
+        "csv": lambda p: cli._write_csv(["a", "b"], [[1, 2]], p, "rows"),
+        "history": lambda p: write_history([TestRewrite.ROW], p, 7),
+    }
+
+    @pytest.mark.parametrize("name", WRITERS)
+    def test_longer_file_left_with_exactly_new_bytes(self, name, tmp_path, monkeypatch):
+        write = self.WRITERS[name]
+        fresh, old = tmp_path / "fresh", tmp_path / "old"
+        write(fresh)
+        old.write_bytes(b"x" * (fresh.stat().st_size + 4096))
+        flags = []
+        os_open = d.os.open
+        monkeypatch.setattr(d.os, "open",
+                            lambda path, fl, *a: flags.append(fl) or os_open(path, fl, *a))
+        write(old)
+        assert old.read_bytes() == fresh.read_bytes()
+        assert flags and not any(fl & d.os.O_TRUNC for fl in flags)
+
+    @pytest.mark.parametrize("name", WRITERS)
+    def test_device_written_without_cut(self, name):
+        self.WRITERS[name](os.devnull)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_pipe_written_without_cut(self, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_text()))
+        reader.start()
+        try:
+            self.WRITERS["history"](fifo)
+        finally:
+            reader.join(timeout=10)
+        assert got and got[0].startswith("# seed=7\nepoch,")
+
+    def test_failed_write_leaves_only_bytes_written(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("old,rows\n" * 100)
+        with pytest.raises(RuntimeError), d.rewrite(path) as fh:
+            fh.write("new\n")
+            raise RuntimeError("disk full")
+        assert path.read_text() == "new\n"

@@ -361,6 +361,112 @@ class TestPipeline:
         assert instance_calls == []
 
 
+def posteriors(model, dataset, users, items):
+    train, side = dataset.train, dataset.side
+    return (*predict.user_posterior(model, train, side, users),
+            *predict.item_posterior(model, train, side, items))
+
+
+class TestPosterior:
+    def test_equal_for_any_workers_and_chunk_rows(self, trained_block, monkeypatch):
+        dataset, result = trained_block
+        model, train = result.model, dataset.train
+        users, items = np.arange(train.n_users), np.arange(train.n_items)
+        with blas.single_thread():
+            want = (*mdl.GaussianNet.forward_values(model.inf_user, mdl.inference_input(
+                        dataset.side.user_features, train.to_csr(), model.use_user_prior)),
+                    *mdl.GaussianNet.forward_values(model.inf_item, mdl.inference_input(
+                        dataset.side.item_features, train.to_csr_t(),
+                        model.use_item_prior)))
+        many = 4 * len(os.sched_getaffinity(0))
+        for rows in (7, max(train.n_users, train.n_items)):
+            monkeypatch.setattr(predict, "POSTERIOR_ROWS", rows)
+            for n in (1, 2, many):
+                set_workers(monkeypatch, n)
+                for w, g in zip(want, posteriors(model, dataset, users, items)):
+                    np.testing.assert_array_equal(w, g)
+
+    def test_rows_in_input_order(self, trained_block, monkeypatch):
+        dataset, result = trained_block
+        model, train = result.model, dataset.train
+        want = posteriors(model, dataset, np.arange(train.n_users),
+                          np.arange(train.n_items))
+        monkeypatch.setattr(predict, "POSTERIOR_ROWS", 3)
+        set_workers(monkeypatch, 2)
+        users, items = [5, 0, 5, 17, 2, 2, 9], [29, 3, 3, 0, 11, 29, 8, 1]
+        got = posteriors(model, dataset, users, items)
+        for w, g, ids in zip(want, got, (users, users, items, items)):
+            np.testing.assert_array_equal(w[ids], g)
+
+    @pytest.mark.parametrize("on_worker", [True, False], ids=["worker", "calling-thread"])
+    def test_error_propagates_and_pool_ends(self, trained_block, monkeypatch,
+                                            on_worker):
+        dataset, result = trained_block
+        monkeypatch.setattr(predict, "POSTERIOR_ROWS", 7)
+        set_workers(monkeypatch, 2)
+        forward_values, main = mdl.GaussianNet.forward_values, threading.main_thread()
+
+        def failing(self, x):
+            if (threading.current_thread() is not main) == on_worker:
+                raise RuntimeError("posterior failed")
+            return forward_values(self, x)
+
+        monkeypatch.setattr(mdl.GaussianNet, "forward_values", failing)
+        fns = blas._openblas()
+        blas_before = fns[0]() if fns is not None else None
+        with pytest.raises(RuntimeError, match="posterior failed"):
+            predict.item_posterior(result.model, dataset.train, dataset.side,
+                                   np.arange(dataset.train.n_items))
+        assert not [t for t in threading.enumerate() if t.name.startswith("cvrec-")]
+        if fns is not None:
+            assert fns[0]() == blas_before
+
+    def test_one_blas_thread_throughout_scoring_calls(self, trained_block, monkeypatch):
+        fns = blas._openblas()
+        if fns is None:
+            pytest.skip("numpy's BLAS is not a bundled OpenBLAS")
+        get, set_ = fns
+        dataset, result = trained_block
+        model = result.model
+        forward, seen = mdl.GaussianNet.forward, []
+
+        def spy(self, x):
+            seen.append((self, get()))
+            return forward(self, x)
+
+        monkeypatch.setattr(mdl.GaussianNet, "forward", spy)
+        counts = []
+        monkeypatch.setattr(blas, "_openblas",
+                            lambda: (get, lambda n: counts.append(n) or set_(n)))
+        # each call, with the networks of its posterior and prior passes
+        calls = {
+            "rank": (lambda: predict.rank(model, dataset.train, dataset.side, 3,
+                                          np.arange(dataset.train.n_items), 8, 1), []),
+            "evaluate": (lambda: ev.evaluate(model, dataset, ks=(5,), n_samples=8), []),
+        }
+        for mode, prior in (("user", model.prior_user), ("item", model.prior_item)):
+            split = make_cold_split(dataset.interactions, dataset.side, fraction=0.3,
+                                    mode=mode, seed=6)
+            calls[f"cold-{mode}"] = (lambda split=split: ev.evaluate_cold(
+                model, dataset, split, mode=split.mode, ks=(5,), n_samples=8), [prior])
+        before = get()
+        set_(2)
+        try:
+            for name, (call, priors) in calls.items():
+                seen.clear()
+                counts.clear()
+                call()
+                nets = {id(net) for net, _ in seen}
+                want = {id(net) for net in (model.inf_user, model.inf_item, *priors)}
+                assert nets == want, name
+                assert [n for _, n in seen] == [1] * len(seen), name
+                # one scope per call: set to one thread once, restored once
+                assert counts == [1, 2], name
+                assert get() == 2, name
+        finally:
+            set_(before)
+
+
 class TestSingleThread:
     @pytest.fixture
     def openblas(self):
